@@ -183,11 +183,12 @@ Outcome run_montecarlo(const RunOptions& opts) {
                     std::chrono::duration<double>(opts.seconds / windows));
     while (Clock::now() < deadline) {
       const std::size_t j = next_job++ % s.jobs.size();
+      const double cpu0 = cpu_seconds();
       const auto t0 = Clock::now();
       try {
         sim::AccuracyReport r = run_job(s.jobs[j], s.pool.get(), trace, j);
         const auto t1 = Clock::now();
-        log.job(t0, t1);
+        log.job(j, t0, t1, cpu0);
         out.check(same_report(r, s.refs[j]),
                   s.jobs[j].name + ": repeat differs from first execution");
         if (is_traced) {
@@ -202,22 +203,22 @@ Outcome run_montecarlo(const RunOptions& opts) {
     log.finish(Clock::now());
   }
 
-  const LatencySummary lat = logs[0].latency();
-  const SliceRates rates = logs[0].rates();
-  out.metric("jobs_per_s", rates.jobs_per_s, "1/s");
-  out.metric("job_p50_ms", lat.p50_ms, "ms");
-  out.metric("job_p99_ms", lat.p99_ms, "ms");
+  const BestTimes best = logs[0].best();
+  out.metric("jobs_per_s", best.jobs_per_s, "1/s");
+  out.metric("job_p50_ms", best.p50_ms, "ms");
+  out.metric("job_p90_ms", best.p90_ms, "ms");
   out.metric("ok_ratio",
              static_cast<double>(out.attempted() - out.failed()) /
                  static_cast<double>(std::max<std::uint64_t>(
                      out.attempted(), 1)),
              "ratio");
-  out.metric("cpu_ms_per_job", rates.cpu_ms_per_job, "ms");
+  out.metric("cpu_ms_per_job", best.cpu_ms_per_job, "ms");
   out.metric("setup_s", percentile(setup_s, 0.5), "s");
   out.metric("peak_rss_mb", peak_rss_mb(), "MB");
   out.metric("wl_cost_mean", cost_sum / variables, "bits");
   out.metric("ed_abs_max", ed_abs_max, "ratio");
-  out.metric("samples", static_cast<double>(lat.count), "count");
+  out.metric("samples", static_cast<double>(best.runs), "count");
+  out.metric("jobs", static_cast<double>(best.jobs), "count");
   if (!opts.trace) return out;
 
   // --- per-layer metrics (traced run) ----------------------------------

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -165,11 +166,12 @@ Outcome run_search(const RunOptions& opts, bool full_probes) {
                     std::chrono::duration<double>(opts.seconds / windows));
     while (Clock::now() < deadline) {
       const std::size_t j = next_job++ % s.jobs.size();
+      const double cpu0 = cpu_seconds();
       const auto t0 = Clock::now();
       try {
         const SearchOutcome r = run_job(s.jobs[j], s.pool.get(), trace, j);
         const auto t1 = Clock::now();
-        log.job(t0, t1);
+        log.job(j, t0, t1, cpu0);
         record(j, r);
         if (is_traced) traced_jobs.push_back(j);
       } catch (const std::exception& e) {
@@ -188,10 +190,12 @@ Outcome run_search(const RunOptions& opts, bool full_probes) {
   double cost_sum = 0.0;
   double variables = 0.0;
   double ed_abs_max = 0.0;
+  std::set<std::string> ed_checked;  // copies of a paper job share a name
   for (std::size_t j = 0; j < s.jobs.size(); ++j) {
     cost_sum += refs[j]->result.cost;
     variables += static_cast<double>(refs[j]->result.bits.size());
-    if (!s.jobs[j].paper) continue;
+    if (!s.jobs[j].paper || !ed_checked.insert(s.jobs[j].name).second)
+      continue;
     sfg::Graph optimized;
     record(j, run_job(s.jobs[j], s.pool.get(), off, j, &optimized));
     sim::EvaluationConfig cfg;
@@ -207,22 +211,22 @@ Outcome run_search(const RunOptions& opts, bool full_probes) {
     ed_abs_max = std::max(ed_abs_max, ed);
   }
 
-  const LatencySummary lat = logs[0].latency();
-  const SliceRates rates = logs[0].rates();
-  out.metric("jobs_per_s", rates.jobs_per_s, "1/s");
-  out.metric("job_p50_ms", lat.p50_ms, "ms");
-  out.metric("job_p99_ms", lat.p99_ms, "ms");
+  const BestTimes best = logs[0].best();
+  out.metric("jobs_per_s", best.jobs_per_s, "1/s");
+  out.metric("job_p50_ms", best.p50_ms, "ms");
+  out.metric("job_p90_ms", best.p90_ms, "ms");
   out.metric("ok_ratio",
              static_cast<double>(out.attempted() - out.failed()) /
                  static_cast<double>(std::max<std::uint64_t>(
                      out.attempted(), 1)),
              "ratio");
-  out.metric("cpu_ms_per_job", rates.cpu_ms_per_job, "ms");
+  out.metric("cpu_ms_per_job", best.cpu_ms_per_job, "ms");
   out.metric("setup_s", percentile(setup_s, 0.5), "s");
   out.metric("peak_rss_mb", peak_rss_mb(), "MB");
   out.metric("wl_cost_mean", cost_sum / variables, "bits");
   out.metric("ed_abs_max", ed_abs_max, "ratio");
-  out.metric("samples", static_cast<double>(lat.count), "count");
+  out.metric("samples", static_cast<double>(best.runs), "count");
+  out.metric("jobs", static_cast<double>(best.jobs), "count");
   if (!opts.trace) return out;
 
   // --- per-layer metrics (traced run) ----------------------------------

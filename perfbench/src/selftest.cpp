@@ -117,8 +117,23 @@ void test_slice_rates() {
       lat.push_back({end - ms / 1000.0, end});
     }
   const LatencySummary l = slice_latency(lat, 4.0, 1.0);
-  expect(l.count == 12 && near(l.p50_ms, 2.0) && near(l.p99_ms, 2.98),
+  expect(l.count == 12 && near(l.p50_ms, 2.0) && near(l.p90_ms, 2.8),
          "slice latency medians");
+}
+
+void test_best_times() {
+  // Job 0 best at 10 ms wall / 8 ms CPU, job 1 at 30 / 25; job 1's second
+  // execution ran into a burst (90 ms) and its first one into a CPU spike.
+  const std::vector<JobRun> runs = {{0, 12.0, 9.0},  {1, 30.0, 40.0},
+                                    {0, 10.0, 8.0},  {1, 90.0, 25.0},
+                                    {0, 11.0, 10.0}};
+  const BestTimes b = best_times(runs);
+  expect(b.jobs == 2 && b.runs == 5, "best times count jobs and runs");
+  expect(near(b.jobs_per_s, 2.0 / 0.040) && near(b.cpu_ms_per_job, 16.5),
+         "best times rates");
+  expect(near(b.p50_ms, 20.0) && near(b.p90_ms, 28.0),
+         "best times percentiles");
+  expect(best_times({}).jobs == 0, "best times of no runs");
 }
 
 void test_self_time() {
@@ -168,6 +183,7 @@ int main() {
   test_generation_is_deterministic();
   test_percentiles();
   test_slice_rates();
+  test_best_times();
   test_self_time();
   std::printf("perfbench self-test: %d failure(s)\n", failures);
   return failures == 0 ? 0 : 1;

@@ -379,7 +379,7 @@ Outcome run_serve(const RunOptions& opts) {
   const SliceRates rates = windows_log[0].rates();
   out.metric("jobs_per_s", rates.jobs_per_s, "1/s");
   out.metric("job_p50_ms", lat.p50_ms, "ms");
-  out.metric("job_p99_ms", lat.p99_ms, "ms");
+  out.metric("job_p90_ms", lat.p90_ms, "ms");
   out.metric("ok_ratio",
              static_cast<double>(out.attempted() - out.failed()) /
                  static_cast<double>(std::max<std::uint64_t>(

@@ -77,13 +77,45 @@ LatencySummary slice_latency(const std::vector<JobSpan>& jobs,
                                        std::max(0.0, j.end_s / len)));
     ms[k].push_back(1000.0 * (j.end_s - j.start_s));
   }
-  std::vector<double> p50, p99;
+  std::vector<double> p50, p90;
   for (const auto& slice : ms) {
     if (slice.empty()) continue;
     p50.push_back(percentile(slice, 0.5));
-    p99.push_back(percentile(slice, 0.99));
+    p90.push_back(percentile(slice, 0.9));
   }
-  return {jobs.size(), percentile(p50, 0.5), percentile(p99, 0.5)};
+  return {jobs.size(), percentile(p50, 0.5), percentile(p90, 0.5)};
+}
+
+std::map<std::size_t, JobRun> best_per_job(const std::vector<JobRun>& runs) {
+  std::map<std::size_t, JobRun> best;
+  for (const JobRun& r : runs) {
+    const auto [it, fresh] = best.try_emplace(r.job, r);
+    if (fresh) continue;
+    it->second.wall_ms = std::min(it->second.wall_ms, r.wall_ms);
+    it->second.cpu_ms = std::min(it->second.cpu_ms, r.cpu_ms);
+  }
+  return best;
+}
+
+BestTimes best_times(const std::vector<JobRun>& runs) {
+  const std::map<std::size_t, JobRun> best = best_per_job(runs);
+  BestTimes out;
+  out.jobs = best.size();
+  out.runs = runs.size();
+  if (best.empty()) return out;
+  std::vector<double> wall_ms;
+  double wall_total_ms = 0.0, cpu_total_ms = 0.0;
+  for (const auto& [job, r] : best) {
+    wall_ms.push_back(r.wall_ms);
+    wall_total_ms += r.wall_ms;
+    cpu_total_ms += r.cpu_ms;
+  }
+  const auto n = static_cast<double>(best.size());
+  out.jobs_per_s = 1000.0 * n / wall_total_ms;
+  out.cpu_ms_per_job = cpu_total_ms / n;
+  out.p50_ms = percentile(wall_ms, 0.5);
+  out.p90_ms = percentile(wall_ms, 0.9);
+  return out;
 }
 
 std::string format_number(double v) {

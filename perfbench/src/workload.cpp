@@ -32,12 +32,30 @@ double WindowLog::finish(Clock::time_point end) {
 void WindowLog::merge(const WindowLog& other) {
   jobs_.insert(jobs_.end(), other.jobs_.begin(), other.jobs_.end());
   cpu_.insert(cpu_.end(), other.cpu_.begin(), other.cpu_.end());
+  runs_.insert(runs_.end(), other.runs_.begin(), other.runs_.end());
   std::sort(cpu_.begin(), cpu_.end(),
             [](const CpuSample& a, const CpuSample& b) { return a.t_s < b.t_s; });
   window_s_ = std::max(window_s_, other.window_s_);
 }
 
 double trace_overhead(const std::vector<WindowLog>& windows) {
+  std::vector<JobRun> runs[2];
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const std::vector<JobRun>& r = windows[w].runs();
+    auto& kind = runs[window_traced(static_cast<int>(w))];
+    kind.insert(kind.end(), r.begin(), r.end());
+  }
+  if (!runs[0].empty() && !runs[1].empty()) {
+    const auto untraced = best_per_job(runs[0]);
+    double untraced_ms = 0.0, traced_ms = 0.0;
+    for (const auto& [job, r] : best_per_job(runs[1])) {
+      const auto it = untraced.find(job);
+      if (it == untraced.end()) continue;
+      untraced_ms += it->second.wall_ms;
+      traced_ms += r.wall_ms;
+    }
+    return 1.0 - untraced_ms / traced_ms;
+  }
   std::vector<double> rate[2];
   for (std::size_t w = 0; w < windows.size(); ++w)
     rate[window_traced(static_cast<int>(w))].push_back(

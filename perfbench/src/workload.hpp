@@ -92,6 +92,14 @@ class WindowLog {
     jobs_.push_back({seconds(begin), seconds(end)});
     cpu_.push_back({seconds(end), cpu_seconds()});
   }
+  /// job() for an execution of job @p id of a fixed set that started at
+  /// process CPU time @p cpu_begin_s.
+  void job(std::size_t id, Clock::time_point begin, Clock::time_point end,
+           double cpu_begin_s) {
+    job(begin, end);
+    runs_.push_back({id, ms_between(begin, end),
+                     1000.0 * (cpu_.back().cpu_s - cpu_begin_s)});
+  }
   /// Closes the window; returns its length in seconds.
   double finish(Clock::time_point end);
   void merge(const WindowLog& other);
@@ -105,6 +113,8 @@ class WindowLog {
   LatencySummary latency() const {
     return slice_latency(jobs_, window_s_, kLatencySliceSeconds);
   }
+  BestTimes best() const { return best_times(runs_); }
+  const std::vector<JobRun>& runs() const { return runs_; }
 
  private:
   double seconds(Clock::time_point t) const {
@@ -113,6 +123,7 @@ class WindowLog {
   Clock::time_point start_;
   std::vector<JobSpan> jobs_;
   std::vector<CpuSample> cpu_;
+  std::vector<JobRun> runs_;
   double window_s_ = 0.0;
 };
 
@@ -126,7 +137,10 @@ inline int window_count(const RunOptions& opts) {
 }
 inline bool window_traced(int w) { return w % 2 == 1; }
 
-/// 1 - traced / untraced throughput (medians over the windows of each kind).
+/// 1 - traced / untraced throughput. On a fixed job set: from the best
+/// times of the jobs that both kinds of window executed (the windows are too
+/// short for slices to hold alike mixes of large and small jobs); otherwise
+/// medians of the windows' slice rates over the windows of each kind.
 double trace_overhead(const std::vector<WindowLog>& windows);
 /// Process CPU over wall time, summed over the untraced windows.
 double cpu_per_wall(const std::vector<WindowLog>& windows);
