@@ -143,6 +143,21 @@ void BM_PsdPreprocess(benchmark::State& state) {
 }
 BENCHMARK(BM_PsdPreprocess)->Arg(4)->Arg(16)->Arg(64);
 
+// A probe context's engine: binding a graph clone to the prototype's
+// compiled model. Compare with BM_PsdPreprocess — a clone does no grid
+// work, so its cost stays flat in the block count.
+void BM_PsdCloneForWorker(benchmark::State& state) {
+  const auto g = chain_graph(static_cast<int>(state.range(0)), 12);
+  const auto prototype =
+      core::make_engine(core::EngineKind::kPsd, g, {.n_psd = 1024});
+  const sfg::Graph worker_graph = g;
+  for (auto _ : state) {
+    auto clone = prototype->clone_for_worker(worker_graph);
+    benchmark::DoNotOptimize(clone.get());
+  }
+}
+BENCHMARK(BM_PsdCloneForWorker)->Arg(4)->Arg(16)->Arg(64);
+
 // tau_eval: one propagation sweep; linear in both nodes and N_PSD.
 void BM_PsdEvaluate(benchmark::State& state) {
   const auto g = chain_graph(16, 12);

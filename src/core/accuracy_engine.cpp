@@ -1,7 +1,9 @@
 #include "core/accuracy_engine.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/flat_analyzer.hpp"
 #include "core/moment_analyzer.hpp"
@@ -44,7 +46,7 @@ class PowerCache {
 // --- Analytical adapters ---------------------------------------------------
 //
 // Each adapter owns its analyzer (construction is the tau_pp phase) and
-// forwards evaluation; options are kept so clone_for_worker() can rebuild
+// forwards evaluation; options are kept so clone_for_worker() can build
 // an identical engine against a worker's graph clone.
 
 class FlatEngine final : public AccuracyEngine {
@@ -120,12 +122,18 @@ class MomentEngine final : public AccuracyEngine {
   MomentAnalyzer analyzer_;
 };
 
+// Unlike the other adapters, the psd engine's clones share the
+// prototype's compiled model (PsdAnalyzer::Model): binding a worker's
+// graph clone is O(1), so a search pays the grid preprocessing once.
 class PsdEngine final : public AccuracyEngine {
  public:
   PsdEngine(const sfg::Graph& g, const EngineOptions& opts)
-      : opts_(opts),
-        cache_(g),
-        analyzer_(g, {.n_psd = opts.n_psd, .interp = opts.interp}) {}
+      : PsdEngine(g, opts,
+                  PsdAnalyzer::compile(
+                      g, {.n_psd = opts.n_psd, .interp = opts.interp})) {}
+  PsdEngine(const sfg::Graph& g, const EngineOptions& opts,
+            std::shared_ptr<const PsdAnalyzer::Model> model)
+      : opts_(opts), cache_(g), analyzer_(g, std::move(model)) {}
 
   EngineKind kind() const override { return EngineKind::kPsd; }
   EngineCapabilities capabilities() const override {
@@ -148,7 +156,7 @@ class PsdEngine final : public AccuracyEngine {
   }
   std::unique_ptr<AccuracyEngine> clone_for_worker(
       const sfg::Graph& g) const override {
-    return std::make_unique<PsdEngine>(g, opts_);
+    return std::make_unique<PsdEngine>(g, opts_, analyzer_.model());
   }
 
  private:

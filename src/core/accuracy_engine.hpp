@@ -17,7 +17,9 @@
 /// scratch and must be driven from one thread at a time. Parallel drivers
 /// (the optimizer's concurrent probes, runtime::BatchRunner workers) give
 /// every worker its own graph clone plus `clone_for_worker()` engine — the
-/// per-worker-clone pattern the parallel runtime established.
+/// per-worker-clone pattern the parallel runtime established. Read-only
+/// state a clone shares with its prototype (the psd engine's compiled
+/// model) is immutable, so clones stay independent across threads.
 #pragma once
 
 #include <array>
@@ -145,8 +147,15 @@ class AccuracyEngine {
   virtual NoiseSpectrum output_spectrum() = 0;
 
   /// A new engine of the same kind and options bound to @p g — a private
-  /// clone of the driver's graph (NodeIds are indices, so ids remain
-  /// valid). @p g must outlive the returned engine.
+  /// copy of the driver's graph (NodeIds are indices, so ids remain
+  /// valid), with any formats. @p g must outlive the returned engine; the
+  /// prototype need not. The psd engine shares the prototype's immutable
+  /// compiled model, so its clone costs O(1) and no grid work; the flat
+  /// and moment engines redo their preprocessing; the simulation engine
+  /// has none.
+  /// @throws std::invalid_argument (psd) when @p g's node count or
+  ///         topology revision differs from the prototype's graph at
+  ///         construction, i.e. @p g is not a copy of it
   virtual std::unique_ptr<AccuracyEngine> clone_for_worker(
       const sfg::Graph& g) const = 0;
 

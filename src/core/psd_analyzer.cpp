@@ -1,52 +1,77 @@
 #include "core/psd_analyzer.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 #include "support/assert.hpp"
 
 namespace psdacc::core {
 
-PsdAnalyzer::PsdAnalyzer(const sfg::Graph& g, PsdOptions opts)
-    : graph_(g), opts_(opts), scratch_(opts.n_psd), zero_(opts.n_psd) {
-  PSDACC_EXPECTS(opts_.n_psd >= 2);
+std::shared_ptr<const PsdAnalyzer::Model> PsdAnalyzer::compile(
+    const sfg::Graph& g, PsdOptions opts) {
+  PSDACC_EXPECTS(opts.n_psd >= 2);
   PSDACC_EXPECTS(!g.has_cycles());
   g.validate();
-  order_ = g.topological_order();
-  topo_pos_.resize(g.node_count());
-  for (std::size_t pos = 0; pos < order_.size(); ++pos)
-    topo_pos_[order_[pos]] = pos;
-  topology_at_build_ = g.topology_revision();
-  delta_supported_ = true;
+  auto m = std::make_shared<Model>();
+  m->opts = opts;
+  m->order = g.topological_order();
+  m->topo_pos.resize(g.node_count());
+  for (std::size_t pos = 0; pos < m->order.size(); ++pos)
+    m->topo_pos[m->order[pos]] = pos;
+  m->topology_at_build = g.topology_revision();
+  m->delta_supported = true;
   for (sfg::NodeId id = 0; id < g.node_count(); ++id)
     if (std::holds_alternative<sfg::UpsampleNode>(g.node(id).payload))
-      delta_supported_ = false;  // see supports_delta() for why
-  tables_.resize(g.node_count());
+      m->delta_supported = false;  // see supports_delta() for why
+  m->tables.resize(g.node_count());
   for (sfg::NodeId id = 0; id < g.node_count(); ++id) {
     const auto* block = std::get_if<sfg::BlockNode>(&g.node(id).payload);
     if (block == nullptr) continue;
-    BlockTables t;
-    t.signal_power = block->tf.power_response_grid(opts_.n_psd);
+    BlockTables& t = m->tables[id];
+    t.signal_power = block->tf.power_response_grid(opts.n_psd);
     t.signal_dc = block->tf.dc_gain();
     if (block->output_format.has_value() && !block->tf.is_fir()) {
       // Quantization inside the recursion is shaped by 1/A(z).
       const filt::TransferFunction ntf(std::vector<double>{1.0},
                                        block->tf.denominator());
-      t.noise_power = ntf.power_response_grid(opts_.n_psd);
+      t.noise_power = ntf.power_response_grid(opts.n_psd);
       t.noise_dc = ntf.dc_gain();
     } else if (block->output_format.has_value()) {
-      t.noise_power.assign(opts_.n_psd, 1.0);
+      t.noise_power.assign(opts.n_psd, 1.0);
       t.noise_dc = 1.0;
     }
-    tables_[id] = std::move(t);
   }
+  return m;
+}
+
+PsdAnalyzer::PsdAnalyzer(const sfg::Graph& g, PsdOptions opts)
+    : PsdAnalyzer(g, compile(g, opts)) {}
+
+PsdAnalyzer::PsdAnalyzer(const sfg::Graph& g,
+                         std::shared_ptr<const Model> model)
+    : graph_(g),
+      model_(std::move(model)),
+      scratch_(model_->opts.n_psd),
+      zero_(model_->opts.n_psd) {
+  // Revision counters are per graph, so this refuses any graph that was
+  // not copied from the compiled one (or has been edited structurally
+  // since) unless its counters coincide; binding an unrelated graph with
+  // equal counters is a contract violation it cannot see.
+  if (g.node_count() != model_->tables.size() ||
+      g.topology_revision() != model_->topology_at_build)
+    throw std::invalid_argument(
+        "psd model was compiled for a different topology; bind it only to "
+        "copies of the graph it was compiled from");
 }
 
 void PsdAnalyzer::evaluate_into(std::vector<NoiseSpectrum>& spectra) const {
+  const std::size_t n_psd = model_->opts.n_psd;
   if (spectra.size() != graph_.node_count())
-    spectra.resize(graph_.node_count(), NoiseSpectrum(opts_.n_psd));
-  for (auto& s : spectra) s.reset(opts_.n_psd);
+    spectra.resize(graph_.node_count(), NoiseSpectrum(n_psd));
+  for (auto& s : spectra) s.reset(n_psd);
   if (&spectra == &workspace_) workspace_dirty_all_ = true;
-  for (sfg::NodeId id : order_) {
+  for (sfg::NodeId id : model_->order) {
     const sfg::NodeView node = graph_.node(id);
     NoiseSpectrum& out = spectra[id];
     struct Visitor {
@@ -66,14 +91,14 @@ void PsdAnalyzer::evaluate_into(std::vector<NoiseSpectrum>& spectra) const {
       }
       void operator()(const sfg::OutputNode&) const { out = in(); }
       void operator()(const sfg::BlockNode& block) const {
-        const auto& t = self.tables_[id];
+        const auto& t = self.model_->tables[id];
         out = in();
         out.apply_power_response(t.signal_power, t.signal_dc);
         if (block.output_format.has_value()) {
           const auto moments =
               fxp::continuous_quantization_noise(*block.output_format);
           NoiseSpectrum& own = self.scratch_;
-          own.reset(self.opts_.n_psd);
+          own.reset(self.model_->opts.n_psd);
           own.add_white(moments);
           own.apply_power_response(t.noise_power, t.noise_dc);
           out.add_uncorrelated(own);
@@ -92,7 +117,7 @@ void PsdAnalyzer::evaluate_into(std::vector<NoiseSpectrum>& spectra) const {
       }
       void operator()(const sfg::DownsampleNode& d) const {
         out = in();
-        out.decimate(d.factor, self.opts_.interp);
+        out.decimate(d.factor, self.model_->opts.interp);
       }
       void operator()(const sfg::UpsampleNode& u) const {
         out = in();
@@ -139,26 +164,28 @@ double PsdAnalyzer::output_noise_power() const {
 UnitResponse PsdAnalyzer::unit_response(sfg::NodeId source) const {
   const sfg::ConeView cone = graph_.downstream_cone(source);
 
+  const std::size_t n_psd = model_->opts.n_psd;
   if (workspace_.size() != graph_.node_count()) {
-    workspace_.resize(graph_.node_count(), NoiseSpectrum(opts_.n_psd));
+    workspace_.resize(graph_.node_count(), NoiseSpectrum(n_psd));
     workspace_dirty_all_ = true;
   }
   if (workspace_dirty_all_) {
-    for (auto& s : workspace_) s.reset(opts_.n_psd);
+    for (auto& s : workspace_) s.reset(n_psd);
     workspace_dirty_all_ = false;
   } else {
-    for (sfg::NodeId id : unit_touched_) workspace_[id].reset(opts_.n_psd);
+    for (sfg::NodeId id : unit_touched_) workspace_[id].reset(n_psd);
   }
   unit_touched_.assign(cone.begin(), cone.end());
+  const std::vector<std::size_t>& topo_pos = model_->topo_pos;
   std::sort(unit_touched_.begin(), unit_touched_.end(),
-            [this](sfg::NodeId a, sfg::NodeId b) {
-              return topo_pos_[a] < topo_pos_[b];
+            [&topo_pos](sfg::NodeId a, sfg::NodeId b) {
+              return topo_pos[a] < topo_pos[b];
             });
 
   NoiseSpectrum& injected = workspace_[source];
   injected.add_white(fxp::NoiseMoments{1.0, 1.0});
   if (std::holds_alternative<sfg::BlockNode>(graph_.node(source).payload)) {
-    const auto& t = tables_[source];
+    const auto& t = model_->tables[source];
     PSDACC_EXPECTS(!t.noise_power.empty());
     injected.apply_power_response(t.noise_power, t.noise_dc);
   }
@@ -184,7 +211,7 @@ UnitResponse PsdAnalyzer::unit_response(sfg::NodeId source) const {
       void operator()(const sfg::BlockNode&) const {
         // Signal transfer only: this block's own noise belongs to its own
         // SourceTerm, never to another source's response.
-        const auto& t = self.tables_[id];
+        const auto& t = self.model_->tables[id];
         out = in();
         out.apply_power_response(t.signal_power, t.signal_dc);
       }
@@ -199,7 +226,7 @@ UnitResponse PsdAnalyzer::unit_response(sfg::NodeId source) const {
       }
       void operator()(const sfg::DownsampleNode& d) const {
         out = in();
-        out.decimate(d.factor, self.opts_.interp);
+        out.decimate(d.factor, self.model_->opts.interp);
       }
       void operator()(const sfg::UpsampleNode&) const {
         PSDACC_EXPECTS(false && "delta path is gated off for upsamplers");
@@ -220,9 +247,9 @@ UnitResponse PsdAnalyzer::unit_response(sfg::NodeId source) const {
 
 double PsdAnalyzer::output_noise_power_delta(
     sfg::NodeId v, const fxp::FixedPointFormat& format) const {
-  PSDACC_EXPECTS(delta_supported_);
+  PSDACC_EXPECTS(model_->delta_supported);
   return delta_terms_.power_delta(
-      graph_, topology_at_build_, v, format,
+      graph_, model_->topology_at_build, v, format,
       [this](sfg::NodeId source) { return unit_response(source); });
 }
 

@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/delta_terms.hpp"
@@ -24,27 +25,70 @@ struct PsdOptions {
 /// Hierarchical PSD accuracy engine.
 ///
 /// Split into the two stages the paper times separately:
-///  * construction ("preprocessing", tau_pp): samples every block's
+///  * compile() ("preprocessing", tau_pp): samples every block's
 ///    magnitude-squared response and noise transfer function on the N_PSD
-///    grid — O(N) per block coefficient, one-time;
+///    grid — O(N) per block coefficient, one-time — into an immutable
+///    Model;
 ///  * evaluate() ("evaluation", tau_eval): one topological sweep applying
 ///    Eqs. 10, 11 and 14 plus the multirate rules — O(N) per node, repeated
 ///    for every word-length assignment being explored.
 ///
+/// An analyzer is a graph bound to a shared Model plus its own evaluation
+/// scratch (workspaces, the per-source delta cache). Binding another
+/// graph of the same topology — a worker's clone — to an existing Model
+/// costs O(1) and no grid work; that is how parallel drivers pay tau_pp
+/// once per search instead of once per worker.
+///
 /// Thread-safety contract: one analyzer instance carries mutable probe
-/// scratch and must be driven from one thread at a time, but distinct
-/// analyzers over distinct graphs are fully independent — the parallel
-/// runtime (runtime::ThreadPool workloads, the optimizer's concurrent
-/// probes) gives every worker its own graph clone + analyzer.
+/// scratch and must be driven from one thread at a time. The Model is
+/// immutable and may be shared by analyzers on any number of threads, so
+/// distinct analyzers over distinct graphs are fully independent — the
+/// parallel runtime (runtime::ThreadPool workloads, the optimizer's
+/// concurrent probes) gives every worker its own graph clone + analyzer.
 class PsdAnalyzer {
  public:
-  /// Preprocesses the graph (must be acyclic; run sfg::collapse_loops
-  /// first).
+  /// Per-block grid tables of a Model.
+  struct BlockTables {
+    std::vector<double> signal_power;  ///< |B/A|^2 on the grid
+    double signal_dc = 1.0;
+    std::vector<double> noise_power;  ///< |1/A|^2 on the grid (if quantized)
+    double noise_dc = 1.0;
+  };
+
+  /// Everything preprocessing derives from a graph's topology and block
+  /// coefficients. Never mutated after compile(); shared read-only by
+  /// every analyzer bound to it.
+  struct Model {
+    PsdOptions opts;
+    std::vector<sfg::NodeId> order;       ///< topological order
+    std::vector<std::size_t> topo_pos;    ///< NodeId -> position in order
+    std::vector<BlockTables> tables;      ///< by NodeId (empty for most)
+    bool delta_supported = false;         ///< see supports_delta()
+    std::uint64_t topology_at_build = 0;  ///< Graph::topology_revision()
+  };
+
+  /// Preprocesses @p g (must be acyclic; run sfg::collapse_loops first)
+  /// into a Model any graph of the same topology can be bound to.
+  static std::shared_ptr<const Model> compile(const sfg::Graph& g,
+                                              PsdOptions opts = {});
+
+  /// Preprocesses the graph: `PsdAnalyzer(g, compile(g, opts))`.
   /// @param g    the system; must outlive the analyzer. Quantizer moments
   ///             may change between evaluate() calls but the topology and
   ///             block coefficients must not.
   /// @param opts PSD resolution and interpolation settings
   PsdAnalyzer(const sfg::Graph& g, PsdOptions opts = {});
+
+  /// Binds @p g to an already compiled @p model: O(1), no grid work. @p g
+  /// must have the topology and block coefficients the model was compiled
+  /// from — in practice a copy of that graph (copies keep the revision
+  /// counters), with any formats.
+  /// @throws std::invalid_argument when @p g's node count or topology
+  ///         revision differs from the model's
+  PsdAnalyzer(const sfg::Graph& g, std::shared_ptr<const Model> model);
+
+  /// The compiled model this analyzer evaluates with.
+  const std::shared_ptr<const Model>& model() const { return model_; }
 
   /// Propagates noise spectra input -> outputs.
   /// @return one spectrum per node, indexed by NodeId
@@ -68,7 +112,7 @@ class PsdAnalyzer {
   /// expander (NoiseSpectrum::expand) — quadratic, so per-source terms no
   /// longer add. Graphs with upsamplers therefore honestly report
   /// unsupported; downsamplers (linear PSD fold) are fine.
-  bool supports_delta() const { return delta_supported_; }
+  bool supports_delta() const { return model_->delta_supported; }
 
   /// Incremental probe: total output noise power as if source @p v
   /// injected the continuous-PQN moments of @p format (the same moments a
@@ -86,28 +130,16 @@ class PsdAnalyzer {
   double output_noise_power_delta(sfg::NodeId v,
                                   const fxp::FixedPointFormat& format) const;
 
-  const PsdOptions& options() const { return opts_; }
+  const PsdOptions& options() const { return model_->opts; }
 
  private:
-  struct BlockTables {
-    std::vector<double> signal_power;  // |B/A|^2 on the grid
-    double signal_dc = 1.0;
-    std::vector<double> noise_power;  // |1/A|^2 on the grid (if quantized)
-    double noise_dc = 1.0;
-  };
-
   UnitResponse unit_response(sfg::NodeId source) const;
 
   const sfg::Graph& graph_;
-  PsdOptions opts_;
-  std::vector<sfg::NodeId> order_;
-  std::vector<std::size_t> topo_pos_;  // NodeId -> position in order_
-  std::vector<BlockTables> tables_;  // indexed by NodeId (empty for most)
-  bool delta_supported_ = false;
-  std::uint64_t topology_at_build_ = 0;
+  std::shared_ptr<const Model> model_;
   // Reused by output_spectrum()/output_noise_power() and the block visitor
   // so per-probe evaluation is allocation-free (hence one analyzer may not
-  // be shared across threads; clone the graph and build one per worker).
+  // be shared across threads; clone the graph and bind one per worker).
   mutable std::vector<NoiseSpectrum> workspace_;
   mutable NoiseSpectrum scratch_;
   // Cone-restricted unit sweeps zero only what the previous sweep touched;

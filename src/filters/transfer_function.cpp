@@ -1,7 +1,10 @@
 #include "filters/transfer_function.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <numbers>
+#include <utility>
 
 #include "support/assert.hpp"
 
@@ -50,11 +53,40 @@ cplx eval_poly_z_inverse(std::span<const double> coeffs, cplx z_inv) {
   return acc;
 }
 
+// z^-1 = e^{-j 2 pi f}: the one expression both response() and the grid
+// tables use, so grid bins equal per-bin response() calls bit for bit.
+cplx unit_circle_z_inverse(double normalized_freq) {
+  const double w = 2.0 * std::numbers::pi * normalized_freq;
+  return cplx(std::cos(w), -std::sin(w));
+}
+
+// Per-thread cache of z^-1 on the n-point grid, most recently used first.
+// Sweeps build many grids of one size (every block of an SFG at one
+// N_PSD), so caching turns n cos/sin pairs per grid into one table per
+// size and thread. Thread-local like dsp::PlanCache: lookups need no
+// lock, and the cap keeps a thread sweeping many sizes bounded.
+const std::vector<cplx>& unit_circle_grid(std::size_t n) {
+  constexpr std::size_t kCapacity = 8;
+  thread_local std::vector<std::pair<std::size_t, std::vector<cplx>>> cache;
+  for (std::size_t i = 0; i < cache.size(); ++i) {
+    if (cache[i].first != n) continue;
+    std::rotate(cache.begin(), cache.begin() + static_cast<std::ptrdiff_t>(i),
+                cache.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+    return cache.front().second;
+  }
+  std::vector<cplx> table(n);
+  for (std::size_t k = 0; k < n; ++k)
+    table[k] = unit_circle_z_inverse(static_cast<double>(k) /
+                                     static_cast<double>(n));
+  if (cache.size() == kCapacity) cache.pop_back();
+  cache.emplace(cache.begin(), n, std::move(table));
+  return cache.front().second;
+}
+
 }  // namespace
 
 cplx TransferFunction::response(double normalized_freq) const {
-  const double w = 2.0 * std::numbers::pi * normalized_freq;
-  const cplx z_inv(std::cos(w), -std::sin(w));
+  const cplx z_inv = unit_circle_z_inverse(normalized_freq);
   return eval_poly_z_inverse(b_, z_inv) / eval_poly_z_inverse(a_, z_inv);
 }
 
@@ -64,9 +96,11 @@ double TransferFunction::power_response(double normalized_freq) const {
 
 std::vector<cplx> TransferFunction::response_grid(std::size_t n) const {
   PSDACC_EXPECTS(n >= 1);
+  const std::vector<cplx>& z_inv = unit_circle_grid(n);
   std::vector<cplx> out(n);
   for (std::size_t k = 0; k < n; ++k)
-    out[k] = response(static_cast<double>(k) / static_cast<double>(n));
+    out[k] = eval_poly_z_inverse(b_, z_inv[k]) /
+             eval_poly_z_inverse(a_, z_inv[k]);
   return out;
 }
 

@@ -34,7 +34,10 @@ class TransferFunction {
   cplx response(double normalized_freq) const;
   /// |H|^2 at normalized frequency f.
   double power_response(double normalized_freq) const;
-  /// Complex response sampled on the n-point FFT grid f_k = k/n.
+  /// Complex response sampled on the n-point FFT grid f_k = k/n; equals
+  /// response(k/n) bit for bit. z^-1 comes from a per-thread table cached
+  /// per n (a few recent sizes), so a grid costs no trigonometry once its
+  /// size is warm on the calling thread.
   std::vector<cplx> response_grid(std::size_t n) const;
   /// |H|^2 sampled on the n-point FFT grid.
   std::vector<double> power_response_grid(std::size_t n) const;

@@ -73,10 +73,11 @@ class WordlengthOptimizer::ContextLease {
         opt_.free_contexts_.pop_back();
       }
     }
-    // Construct outside the lock: cloning the graph and preprocessing the
-    // engine is the expensive part, and serializing it would stall every
-    // worker's first probe. Concurrent construction only reads opt_.graph_
-    // and the prototype engine's options.
+    // Construct outside the lock: cloning the graph is the expensive part
+    // (the engine binds to the prototype's compiled model where it has
+    // one, and rebuilds its preprocessing otherwise), and serializing it
+    // would stall every worker's first probe. Concurrent construction
+    // only reads opt_.graph_ and the prototype engine.
     if (context_ == nullptr)
       context_ =
           std::make_unique<ProbeContext>(opt_.graph_, *opt_.engine_);
@@ -180,27 +181,50 @@ core::AccuracyEngine::EvalCounters WordlengthOptimizer::probe_counters()
   return total;
 }
 
+void WordlengthOptimizer::stamp(ProbeContext& context,
+                                const std::vector<int>& bits,
+                                std::optional<Candidate> change) const {
+  // An unknown context goes through set_bits for every variable: set_bits
+  // also replaces caller-supplied quantizer moments on first touch.
+  const bool known = !context.stamped.empty();
+  context.stamped.resize(variables_.size());
+  for (std::size_t u = 0; u < variables_.size(); ++u) {
+    const int target = change && change->v == u ? change->bits : bits[u];
+    if (known && context.stamped[u] == target) continue;
+    set_bits(context.graph, variables_[u], target);
+    context.stamped[u] = target;
+  }
+}
+
 double WordlengthOptimizer::probe(const std::vector<int>& bits,
                                   std::size_t v, int candidate_bits) {
   ContextLease context(*this);
   // Stamp the full assignment: a recycled context carries whatever the
   // previous probe left behind, so the probe result depends only on its
-  // arguments — never on scheduling. set_bits early-outs on unchanged
-  // variables, so within one search iteration a recycled context's
-  // revision counters move only where the assignment really differs.
-  for (std::size_t u = 0; u < variables_.size(); ++u)
-    if (u != v) set_bits(context->graph, variables_[u], bits[u]);
+  // arguments — never on scheduling. Only variables whose recorded bits
+  // differ are written, so within one search iteration a recycled
+  // context's revision counters move only where the assignment really
+  // differs, and a probe costs O(variables) compares, not set_bits calls.
   if (delta_probes_) {
     // Delta path: hold the context at the iteration's baseline and probe
     // the candidate hypothetically — the engine re-derives one source's
     // contribution and combines the rest from its cache.
-    set_bits(context->graph, variables_[v], bits[v]);
+    stamp(*context, bits);
     return context->engine->evaluate_delta(
         variables_[v],
         candidate_format(context->graph, variables_[v], candidate_bits));
   }
-  set_bits(context->graph, variables_[v], candidate_bits);
+  stamp(*context, bits, Candidate{v, candidate_bits});
   return context->engine->output_noise_power();
+}
+
+void WordlengthOptimizer::probe_round(
+    std::size_t n, const std::function<void(std::size_t)>& body) {
+  if (delta_probes_) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  pool_->parallel_for(0, n, body);
 }
 
 bool WordlengthOptimizer::cancel_requested() const {
@@ -220,7 +244,7 @@ std::vector<double> WordlengthOptimizer::probe_candidates(
   PSDACC_EXPECTS(baseline.size() == variables_.size());
   ensure_integer_bits();
   std::vector<double> noise(candidates.size());
-  pool_->parallel_for(0, candidates.size(), [&](std::size_t i) {
+  probe_round(candidates.size(), [&](std::size_t i) {
     noise[i] = probe(baseline, candidates[i].v, candidates[i].bits);
   });
   evaluations_ += candidates.size();
@@ -231,8 +255,7 @@ double WordlengthOptimizer::probe_assignment(const std::vector<int>& bits) {
   PSDACC_EXPECTS(bits.size() == variables_.size());
   ensure_integer_bits();
   ContextLease context(*this);
-  for (std::size_t u = 0; u < variables_.size(); ++u)
-    set_bits(context->graph, variables_[u], bits[u]);
+  stamp(*context, bits);
   ++evaluations_;
   return context->engine->output_noise_power();
 }
@@ -279,10 +302,10 @@ OptimizerResult WordlengthOptimizer::greedy_descent() {
     // best feasible assignment found so far — exactly the partial state a
     // timed-out server job should report.
     if (cancel_requested()) return cancelled_package(std::move(bits));
-    // Score every candidate single-bit removal concurrently; each probe
-    // runs on an isolated context, so the scores match the serial sweep
-    // bit for bit.
-    pool_->parallel_for(0, variables_.size(), [&](std::size_t v) {
+    // Score every candidate single-bit removal (concurrently on full
+    // rounds); each probe runs on an isolated context, so the scores match
+    // the serial sweep bit for bit.
+    probe_round(variables_.size(), [&](std::size_t v) {
       if (bits[v] <= cfg_.min_bits) return;
       probe_noise[v] = probe(bits, v, bits[v] - 1);
     });
@@ -325,13 +348,13 @@ OptimizerResult WordlengthOptimizer::greedy_descent() {
 OptimizerResult WordlengthOptimizer::min_plus_one() {
   // Per-variable lower bound: the fewest bits for variable v with all
   // others at max (the standard "minimum word-length" initialization).
-  // Each variable's scan is independent of the others, so they run
-  // concurrently; the evaluation counts are summed in variable order.
+  // Each variable's scan is independent of the others, so full rounds run
+  // them concurrently; the evaluation counts are summed in variable order.
   const std::vector<int> all_max(variables_.size(), cfg_.max_bits);
   std::vector<int> lower(variables_.size(), cfg_.min_bits);
   if (cancel_requested()) return cancelled_package(std::move(lower));
   std::vector<std::size_t> scan_evals(variables_.size(), 0);
-  pool_->parallel_for(0, variables_.size(), [&](std::size_t v) {
+  probe_round(variables_.size(), [&](std::size_t v) {
     for (int d = cfg_.min_bits; d <= cfg_.max_bits; ++d) {
       ++scan_evals[v];
       if (probe(all_max, v, d) <= cfg_.noise_budget) {
@@ -352,7 +375,7 @@ OptimizerResult WordlengthOptimizer::min_plus_one() {
   std::vector<double> probe_noise(variables_.size());
   while (noise > cfg_.noise_budget) {
     if (cancel_requested()) return cancelled_package(std::move(bits));
-    pool_->parallel_for(0, variables_.size(), [&](std::size_t v) {
+    probe_round(variables_.size(), [&](std::size_t v) {
       if (bits[v] >= cfg_.max_bits) return;
       probe_noise[v] = probe(bits, v, bits[v] + 1);
     });

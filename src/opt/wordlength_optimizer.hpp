@@ -10,12 +10,18 @@
 /// O(N) sweep — and with incremental probing (the default where the
 /// engine's capabilities().delta holds) a probe shrinks further to
 /// O(sources): only the changed variable's noise contribution is
-/// re-derived, the rest combines from the probe context's cache. With
-/// `OptimizerConfig::workers > 1` the candidate probes of one search
-/// iteration are scored concurrently on a runtime::ThreadPool (each worker
-/// probing its own graph clone + engine via clone_for_worker), multiplying
-/// that throughput by core count while keeping results bit-identical to
-/// the serial search.
+/// re-derived, the rest combines from the probe context's cache.
+///
+/// Probes run on probe contexts: a private graph clone plus an engine
+/// bound to it via clone_for_worker (for the psd engine an O(1) binding
+/// to the prototype's compiled model). A context remembers the bits it
+/// last stamped, so a probe re-stamps only the variables whose bits
+/// differ. With `OptimizerConfig::workers > 1` the candidate probes of one
+/// full-evaluation round are scored concurrently on a runtime::ThreadPool,
+/// one context per concurrent probe. Delta rounds run on the calling
+/// thread instead: their probes take tens of nanoseconds, less than
+/// forking and joining the pool. Results are bit-identical to the serial
+/// search either way.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +47,8 @@ struct OptimizerConfig {
   std::size_t n_psd = 512;     ///< Spectral bins for flat/psd probes.
   /// Per-variable cost weight (e.g. multiplier width); empty = all 1.
   std::vector<double> cost_weights;
-  /// Concurrency for candidate probing (1 = serial). Any value produces
+  /// Concurrency for full-evaluation probe rounds (1 = serial); delta
+  /// rounds always run on the calling thread. Any value produces
   /// bit-identical results; the candidate scores are computed on isolated
   /// graph clones and the selection scan always runs in variable order.
   std::size_t workers = 1;
@@ -120,11 +127,12 @@ class WordlengthOptimizer {
   OptimizerResult uniform();
   /// Start generous, repeatedly remove the bit with the best cost/noise
   /// trade until no removal fits the budget ("max -1 bit" heuristic).
-  /// Candidate probes of each iteration are scored concurrently.
+  /// Candidate probes of each full round are scored concurrently.
   OptimizerResult greedy_descent();
   /// Start from each variable's noise-constrained lower bound and add bits
-  /// where they help most until the budget is met. The per-variable bound
-  /// scans and the per-iteration probes run concurrently.
+  /// where they help most until the budget is met. On full rounds the
+  /// per-variable bound scans and the per-iteration probes run
+  /// concurrently.
   OptimizerResult min_plus_one();
 
   /// Applies an assignment (one entry per variable).
@@ -156,8 +164,9 @@ class WordlengthOptimizer {
     int bits = 0;       ///< Proposed fractional bits for that variable.
   };
   /// Noise of `baseline` with each candidate applied alone — one probe per
-  /// candidate, scored concurrently on the pool, results returned in
-  /// candidate order. Bit-identical for any worker count (each probe runs
+  /// candidate, scored concurrently on the pool (on the calling thread
+  /// when probes take the delta path), results returned in candidate
+  /// order. Bit-identical for any worker count (each probe runs
   /// on an isolated context; see probe()). evaluations() advances by
   /// candidates.size() on the driving thread after the round.
   std::vector<double> probe_candidates(
@@ -191,10 +200,13 @@ class WordlengthOptimizer {
  private:
   // One worker's isolated probe state: a private clone of the system plus
   // an engine bound to it (clone_for_worker). NodeIds are indices, so the
-  // optimizer's variable ids are valid in the clone.
+  // optimizer's variable ids are valid in the clone. `stamped` records the
+  // bits last written to each variable; empty means unknown (a fresh
+  // context), and the next stamp then writes every variable.
   struct ProbeContext {
     sfg::Graph graph;
     std::unique_ptr<core::AccuracyEngine> engine;
+    std::vector<int> stamped;
     ProbeContext(const sfg::Graph& src,
                  const core::AccuracyEngine& prototype)
         : graph(src), engine(prototype.clone_for_worker(graph)) {}
@@ -214,6 +226,14 @@ class WordlengthOptimizer {
   /// warm across the whole iteration.
   double probe(const std::vector<int>& bits, std::size_t v,
                int candidate_bits);
+  /// Brings @p context's graph to `bits`, with @p change applied when
+  /// set, writing only the variables whose recorded bits differ.
+  void stamp(ProbeContext& context, const std::vector<int>& bits,
+             std::optional<Candidate> change = std::nullopt) const;
+  /// Runs body(i) for i in [0, n) — one probe round. Full-evaluation
+  /// rounds go to the pool; delta rounds stay on the calling thread.
+  void probe_round(std::size_t n,
+                   const std::function<void(std::size_t)>& body);
   /// Range-analysis hoist: sizes variable integer bits from
   /// cfg_.input_range once per topology revision (no-op when unset or
   /// already current).

@@ -53,9 +53,10 @@ ErrorMeasurement measure_output_error_sharded(const sfg::Graph& g,
   const Xoshiro256 base(cfg.seed);
 
   // Shards are fully independent: their own RNG substream, input signal,
-  // and execution plan (the shared graph is only read). Running them via
-  // parallel_map keeps the per-shard work identical for any worker count;
-  // only the reduction below could reorder, and it runs in shard order.
+  // and execution plan (the shared graph is only read, once its lazy
+  // caches are filled below). Running them via parallel_map keeps the
+  // per-shard work identical for any worker count; only the reduction
+  // below could reorder, and it runs in shard order.
   auto run_shard = [&](std::size_t s) {
     const std::size_t samples = base_samples + (s < extra_shards ? 1 : 0);
     Xoshiro256 rng = base.substream(s);
@@ -63,6 +64,12 @@ ErrorMeasurement measure_output_error_sharded(const sfg::Graph& g,
         uniform_signal(samples + cfg.discard, cfg.input_amplitude, rng);
     return measure_output_error(g, input, cfg.discard, cfg.keep_signal);
   };
+  // sfg::Graph fills its role and reverse-edge caches lazily on first
+  // const use, without synchronization, and every shard's ExecutionPlan
+  // reads both (outputs()/inputs(), has_cycles()/topological_order()).
+  // Fill them here, on the calling thread, before the shards run.
+  g.outputs();
+  if (g.node_count() > 0) g.consumers(0);
   std::vector<ErrorMeasurement> shards =
       pool != nullptr ? pool->parallel_map(cfg.shards, run_shard)
                       : [&] {

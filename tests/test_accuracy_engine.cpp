@@ -5,8 +5,10 @@
 // AccuracyReport must expose every method the paper compares — including
 // the flat-vs-PSD reconvergence gap the old fixed-field report could not
 // show.
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -24,6 +26,7 @@
 #include "opt/wordlength_optimizer.hpp"
 #include "runtime/batch_runner.hpp"
 #include "runtime/thread_pool.hpp"
+#include "sfg/random_graph.hpp"
 #include "sim/error_measurement.hpp"
 
 namespace {
@@ -196,6 +199,136 @@ TEST(AccuracyEngine, MatchesUnderlyingAnalyzersBitwise) {
   EXPECT_EQ(core::make_engine(EngineKind::kFlat, g, opts)
                 ->output_noise_power(),
             core::FlatAnalyzer(g, opts.n_psd).output_noise_power());
+}
+
+// --- psd clones share the prototype's compiled model ----------------------
+
+// Re-formats every noise source of @p g to a seed-dependent width, so a
+// clone's graph state differs from the prototype's.
+void reformat_sources(sfg::Graph& g, int seed) {
+  int i = seed;
+  for (const sfg::NodeId id : std::vector<sfg::NodeId>(g.noise_sources())) {
+    const sfg::NodeView node = std::as_const(g).node(id);
+    auto format =
+        std::holds_alternative<sfg::QuantizerNode>(node.payload)
+            ? std::get<sfg::QuantizerNode>(node.payload).format
+            : *std::get<sfg::BlockNode>(node.payload).output_format;
+    format.fractional_bits = 6 + (i++ * 7) % 13;
+    g.set_format(id, format);
+  }
+}
+
+// Bitwise comparison of everything a psd engine reports: total power,
+// spectrum bins and mean, and a delta probe per source.
+void expect_psd_engines_identical(core::AccuracyEngine& a,
+                                  core::AccuracyEngine& b,
+                                  const sfg::Graph& g) {
+  EXPECT_EQ(a.output_noise_power(), b.output_noise_power());
+  const auto sa = a.output_spectrum();
+  const auto sb = b.output_spectrum();
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t k = 0; k < sa.size(); ++k)
+    ASSERT_EQ(sa.bin(k), sb.bin(k)) << "bin " << k;
+  EXPECT_EQ(sa.mean(), sb.mean());
+  ASSERT_EQ(a.capabilities().delta, b.capabilities().delta);
+  if (!a.capabilities().delta) return;
+  for (const sfg::NodeId id : g.noise_sources()) {
+    for (const int bits : {5, 11, 17}) {
+      const fxp::FixedPointFormat format = fxp::q_format(4, bits);
+      EXPECT_EQ(a.evaluate_delta(id, format), b.evaluate_delta(id, format))
+          << "source " << id << " bits " << bits;
+    }
+  }
+}
+
+std::vector<sfg::Graph> clone_test_graphs() {
+  std::vector<sfg::Graph> graphs;
+  graphs.push_back(make_chain());
+  graphs.push_back(make_multirate());  // upsampler: no delta path
+  // Deep enough for more than 64 sources (the pairwise-tree delta path).
+  graphs.push_back(sfg::random_graph(11, {.depth = 96}));
+  graphs.push_back(sfg::random_graph(12, {.depth = 24, .multirate = true}));
+  return graphs;
+}
+
+TEST(PsdEngineClone, MatchesFreshEngineBitwise) {
+  std::size_t max_sources = 0;
+  for (const sfg::Graph& g : clone_test_graphs()) {
+    max_sources = std::max(max_sources, g.noise_sources().size());
+    const auto prototype = core::make_engine(EngineKind::kPsd, g,
+                                             test_options());
+    sfg::Graph worker_graph = g;
+    reformat_sources(worker_graph, 3);
+    const auto clone = prototype->clone_for_worker(worker_graph);
+    const auto fresh =
+        core::make_engine(EngineKind::kPsd, worker_graph, test_options());
+    expect_psd_engines_identical(*clone, *fresh, worker_graph);
+    // The prototype is untouched by its clone's evaluations.
+    const auto rebuilt = core::make_engine(EngineKind::kPsd, g,
+                                           test_options());
+    EXPECT_EQ(prototype->output_noise_power(),
+              rebuilt->output_noise_power());
+  }
+  EXPECT_GT(max_sources, 64u);
+}
+
+TEST(PsdEngineClone, OutlivesItsPrototype) {
+  const auto g = make_chain();
+  sfg::Graph worker_graph = g;
+  reformat_sources(worker_graph, 5);
+  std::unique_ptr<core::AccuracyEngine> clone;
+  {
+    const auto prototype = core::make_engine(EngineKind::kPsd, g,
+                                             test_options());
+    clone = prototype->clone_for_worker(worker_graph);
+  }
+  const auto fresh =
+      core::make_engine(EngineKind::kPsd, worker_graph, test_options());
+  expect_psd_engines_identical(*clone, *fresh, worker_graph);
+}
+
+TEST(PsdEngineClone, RefusesGraphOfDifferentTopology) {
+  const auto g = make_chain();
+  const auto prototype = core::make_engine(EngineKind::kPsd, g,
+                                           test_options());
+  const auto other = make_multirate();
+  EXPECT_THROW(prototype->clone_for_worker(other), std::invalid_argument);
+
+  // Same node count, one more edge: a structural edit after the copy.
+  sfg::Graph fan;
+  const auto in = fan.add_input();
+  const auto q = fan.add_quantizer(in, fxp::q_format(4, 12));
+  const auto gain = fan.add_gain(q, 0.5);
+  const auto sum = fan.add_adder({gain});
+  fan.add_output(sum);
+  const auto fan_engine = core::make_engine(EngineKind::kPsd, fan,
+                                            test_options());
+  sfg::Graph edited = fan;
+  edited.add_adder_input(sum, q);
+  ASSERT_EQ(edited.node_count(), fan.node_count());
+  EXPECT_THROW(fan_engine->clone_for_worker(edited), std::invalid_argument);
+  EXPECT_THROW(core::PsdAnalyzer(edited, core::PsdAnalyzer::compile(fan)),
+               std::invalid_argument);
+}
+
+TEST(PsdEngineClone, ClonesOfOneModelEvaluateConcurrently) {
+  const auto g = sfg::random_graph(11, {.depth = 96});
+  const auto prototype = core::make_engine(EngineKind::kPsd, g,
+                                           test_options());
+  constexpr std::size_t kClones = 8;
+  std::vector<sfg::Graph> graphs(kClones, g);
+  for (std::size_t i = 0; i < kClones; ++i)
+    reformat_sources(graphs[i], static_cast<int>(i));
+  std::vector<double> serial(kClones);
+  for (std::size_t i = 0; i < kClones; ++i)
+    serial[i] = core::make_engine(EngineKind::kPsd, graphs[i],
+                                  test_options())
+                    ->output_noise_power();
+  runtime::ThreadPool pool(4);
+  const auto powers = pool.parallel_map(kClones, [&](std::size_t i) {
+    return prototype->clone_for_worker(graphs[i])->output_noise_power();
+  });
+  for (std::size_t i = 0; i < kClones; ++i) EXPECT_EQ(powers[i], serial[i]);
 }
 
 TEST(AccuracyEngine, ParseRejectsUnknownNames) {

@@ -1,6 +1,10 @@
 // Filter library tests: transfer-function algebra, frequency responses of
 // designed FIR/IIR filters, stability, and streaming-filter equivalences.
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -89,6 +93,88 @@ TEST(TransferFunction, StabilityDetection) {
   // Pole pair outside the unit circle.
   EXPECT_FALSE(
       TransferFunction({1.0}, {1.0, -1.2, 1.21}).is_stable());
+}
+
+// --- Grid responses read z^-1 from a per-thread unit-circle table -------
+
+// Random FIR (a == {1}) or IIR transfer function of the given order. The
+// denominator need not be stable: only the evaluation path is compared.
+TransferFunction random_tf(Xoshiro256& rng, std::size_t order, bool iir) {
+  std::vector<double> b(order + 1);
+  for (double& c : b) c = rng.uniform(-1.0, 1.0);
+  if (!iir) return TransferFunction(std::move(b));
+  std::vector<double> a(order + 1);
+  a[0] = 1.0;
+  for (std::size_t i = 1; i < a.size(); ++i)
+    a[i] = rng.uniform(-1.0, 1.0) / static_cast<double>(i + 1);
+  return TransferFunction(std::move(b), std::move(a));
+}
+
+// Bit patterns, so NaN or signed-zero bins compare exactly too.
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+constexpr std::size_t kGridSizes[] = {2, 3, 1000, 1024, 4096};
+
+TEST(UnitCirclePlanCache, GridMatchesPerBinResponseBitwise) {
+  Xoshiro256 rng(2024);
+  for (const bool iir : {false, true}) {
+    for (std::size_t order = 0; order <= 48; ++order) {
+      const TransferFunction tf = random_tf(rng, order, iir);
+      for (const std::size_t n : kGridSizes) {
+        const auto grid = tf.response_grid(n);
+        const auto power = tf.power_response_grid(n);
+        ASSERT_EQ(grid.size(), n);
+        ASSERT_EQ(power.size(), n);
+        for (std::size_t k = 0; k < n; ++k) {
+          const cplx r =
+              tf.response(static_cast<double>(k) / static_cast<double>(n));
+          ASSERT_TRUE(same_bits(grid[k].real(), r.real()) &&
+                      same_bits(grid[k].imag(), r.imag()) &&
+                      same_bits(power[k], std::norm(r)))
+              << (iir ? "IIR" : "FIR") << " order " << order << " n " << n
+              << " bin " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(UnitCirclePlanCache, ConcurrentThreadsBuildIdenticalGrids) {
+  Xoshiro256 rng(7);
+  const TransferFunction fir = random_tf(rng, 31, false);
+  const TransferFunction iir = random_tf(rng, 8, true);
+  std::vector<std::vector<double>> expected;
+  for (const std::size_t n : kGridSizes) {
+    expected.push_back(fir.power_response_grid(n));
+    expected.push_back(iir.power_response_grid(n));
+  }
+  // Each thread sweeps more sizes than one thread's cache holds, so the
+  // threads build, evict and rebuild tables at the same time.
+  auto sweep = [&](std::vector<std::vector<double>>& out) {
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t extra = 16; extra < 16 + 12; ++extra)
+        fir.power_response_grid(extra);
+      out.clear();
+      for (const std::size_t n : kGridSizes) {
+        out.push_back(fir.power_response_grid(n));
+        out.push_back(iir.power_response_grid(n));
+      }
+    }
+  };
+  std::vector<std::vector<double>> a;
+  std::vector<std::vector<double>> b;
+  std::thread ta(sweep, std::ref(a));
+  std::thread tb(sweep, std::ref(b));
+  ta.join();
+  tb.join();
+  ASSERT_EQ(a.size(), expected.size());
+  ASSERT_EQ(b.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(a[i], expected[i]) << "grid " << i;
+    EXPECT_EQ(b[i], expected[i]) << "grid " << i;
+  }
 }
 
 TEST(PolyFromRoots, ConjugatePairGivesRealQuadratic) {

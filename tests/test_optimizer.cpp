@@ -8,6 +8,7 @@
 #include "core/metrics.hpp"
 #include "filters/fir_design.hpp"
 #include "filters/iir_design.hpp"
+#include "opt/search/annealing.hpp"
 #include "opt/wordlength_optimizer.hpp"
 #include "sim/error_measurement.hpp"
 
@@ -249,6 +250,129 @@ TEST(OptimizerCancellation, AllStrategiesHonorTheCheck) {
                                                    << strategy;
     EXPECT_GT(polls, 1) << "strategy " << strategy;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Probe contexts re-stamp only the variables whose bits changed
+// ---------------------------------------------------------------------------
+
+void expect_same_result(const opt::OptimizerResult& a,
+                        const opt::OptimizerResult& b, const char* what) {
+  EXPECT_EQ(a.bits, b.bits) << what;
+  EXPECT_EQ(a.cost, b.cost) << what;
+  EXPECT_EQ(a.noise, b.noise) << what;  // bitwise
+  EXPECT_EQ(a.feasible, b.feasible) << what;
+}
+
+opt::search::AnnealOptions short_anneal() {
+  opt::search::AnnealOptions o;
+  o.seed = 17;
+  o.rounds = 60;
+  o.proposals_per_round = 5;
+  return o;
+}
+
+TEST(OptimizerStampTracking, ReusedOptimizerMatchesFreshOnes) {
+  // One optimizer runs every strategy in turn, so its probe contexts
+  // carry whatever the previous search stamped; each result must equal a
+  // fresh optimizer's on a fresh graph.
+  const auto cfg = budget_config(1e-7);
+  auto sys = make_chain();
+  opt::WordlengthOptimizer reused(sys.graph, sys.variables, cfg);
+  const std::vector<int> probe_bits = {9, 14, 6};
+
+  opt::search::SimulatedAnnealing anneal(short_anneal());
+  const auto annealed = anneal.run(reused);
+  const auto greedy = reused.greedy_descent();
+  const double probed = reused.probe_assignment(probe_bits);
+  const auto plus_one = reused.min_plus_one();
+
+  {
+    auto fresh = make_chain();
+    opt::WordlengthOptimizer o(fresh.graph, fresh.variables, cfg);
+    opt::search::SimulatedAnnealing fresh_anneal(short_anneal());
+    expect_same_result(annealed, fresh_anneal.run(o), "anneal");
+  }
+  {
+    auto fresh = make_chain();
+    opt::WordlengthOptimizer o(fresh.graph, fresh.variables, cfg);
+    expect_same_result(greedy, o.greedy_descent(), "greedy");
+  }
+  {
+    auto fresh = make_chain();
+    opt::WordlengthOptimizer o(fresh.graph, fresh.variables, cfg);
+    EXPECT_EQ(probed, o.probe_assignment(probe_bits));
+  }
+  {
+    auto fresh = make_chain();
+    opt::WordlengthOptimizer o(fresh.graph, fresh.variables, cfg);
+    expect_same_result(plus_one, o.min_plus_one(), "min_plus_one");
+  }
+}
+
+TEST(OptimizerStampTracking, CallerSuppliedMomentsReplacedOnFirstProbe) {
+  // A quantizer built with caller-supplied moments, probed at the bits it
+  // already has: the probe must still install the derived PQN moments,
+  // i.e. score like a quantizer built from its format alone.
+  const auto build = [](bool supplied) {
+    TestSystem s;
+    const auto in = s.graph.add_input();
+    const auto format = fxp::q_format(4, 10);
+    const auto q = supplied
+                       ? s.graph.add_quantizer(
+                             in, format, fxp::NoiseMoments{0.25, 1e-3})
+                       : s.graph.add_quantizer(in, format);
+    const auto b = s.graph.add_block(
+        q, filt::iir_lowpass(filt::IirFamily::kButterworth, 2, 0.25),
+        fxp::q_format(4, 12), "lp");
+    s.graph.add_output(b);
+    s.variables = {q, b};
+    return s;
+  };
+  const std::vector<int> bits = {10, 12};
+  const auto cfg = budget_config(1e-6);
+
+  auto plain = build(false);
+  opt::WordlengthOptimizer reference(plain.graph, plain.variables, cfg);
+  const double expected = reference.probe_assignment(bits);
+  const auto expected_delta = reference.probe_candidates(bits, {{1, 12}});
+
+  auto full = build(true);
+  opt::WordlengthOptimizer full_probe(full.graph, full.variables, cfg);
+  EXPECT_EQ(full_probe.probe_assignment(bits), expected);
+
+  // The delta path's first probe stamps a fresh context the same way.
+  auto delta = build(true);
+  opt::WordlengthOptimizer delta_probe(delta.graph, delta.variables, cfg);
+  EXPECT_EQ(delta_probe.probe_candidates(bits, {{1, 12}}), expected_delta);
+  EXPECT_EQ(delta_probe.probe_counters().delta, 1u);
+}
+
+TEST(OptimizerStampTracking, ProbeCountersArePinned) {
+  // Exact counts: stamping only changed variables must not move a single
+  // revision the unconditional stamp did not move.
+  auto sys = make_chain();
+  opt::WordlengthOptimizer optimizer(sys.graph, sys.variables,
+                                     budget_config(1e-7));
+  optimizer.greedy_descent();
+  optimizer.min_plus_one();
+  optimizer.probe_assignment({9, 14, 6});
+  optimizer.probe_assignment({9, 14, 6});
+  const auto c = optimizer.probe_counters();
+  EXPECT_EQ(c.full, 5u);
+  EXPECT_EQ(c.delta, 116u);
+  EXPECT_EQ(c.cached, 1u);
+
+  auto full_sys = make_chain();
+  auto cfg = budget_config(1e-7);
+  cfg.incremental = false;
+  opt::WordlengthOptimizer full(full_sys.graph, full_sys.variables, cfg);
+  full.greedy_descent();
+  full.min_plus_one();
+  const auto f = full.probe_counters();
+  EXPECT_EQ(f.full, 120u);
+  EXPECT_EQ(f.delta, 0u);
+  EXPECT_EQ(f.cached, 0u);
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "core/accuracy_engine.hpp"
+#include "filters/fir_design.hpp"
 #include "filters/iir_design.hpp"
+#include "runtime/thread_pool.hpp"
+#include "sfg/serialize.hpp"
 #include "sim/error_measurement.hpp"
 #include "sim/executor.hpp"
 #include "support/random.hpp"
@@ -121,6 +124,42 @@ TEST(EvaluateAccuracy, DeterministicGivenSeed) {
   const auto a = sim::evaluate_accuracy(g, cfg);
   const auto b = sim::evaluate_accuracy(g, cfg);
   EXPECT_DOUBLE_EQ(a.reference_power, b.reference_power);
+}
+
+// A freshly parsed graph has empty lazy role and reverse-edge caches.
+// With simulation as the first engine and a pool, the shards' execution
+// plans are the first readers of those caches, concurrently; the sharded
+// measurement must fill them before it forks (run under TSan in CI).
+TEST(SimShardedFreshGraph, SimulationFirstOnPoolIsRepeatable) {
+  Graph src;
+  const auto in = src.add_input();
+  const auto q = src.add_quantizer(in, fxp::q_format(4, 10));
+  const auto lp = src.add_block(
+      q, filt::iir_lowpass(filt::IirFamily::kButterworth, 2, 0.25),
+      fxp::q_format(4, 10));
+  const auto hp = src.add_block(
+      lp, filt::TransferFunction(filt::fir_highpass(15, 0.05)),
+      fxp::q_format(4, 10));
+  src.add_output(hp);
+  const std::string doc = sfg::serialize(src);
+
+  sim::EvaluationConfig cfg;
+  cfg.engines = {core::EngineKind::kSimulation, core::EngineKind::kPsd};
+  cfg.sim_samples = 1u << 13;
+  cfg.discard = 64;
+  cfg.shards = 8;
+  cfg.n_psd = 128;
+  runtime::ThreadPool pool(4);
+  const auto reference = sim::evaluate_accuracy(sfg::parse_graph(doc), cfg);
+  for (int rep = 0; rep < 8; ++rep) {
+    const Graph g = sfg::parse_graph(doc);
+    const auto report = sim::evaluate_accuracy(g, cfg, &pool);
+    ASSERT_EQ(report.estimates.size(), 2u);
+    EXPECT_EQ(report.reference_power, reference.reference_power)
+        << "rep " << rep;  // bitwise: shards reduce in shard order
+    EXPECT_EQ(report.power(core::EngineKind::kPsd),
+              reference.power(core::EngineKind::kPsd));
+  }
 }
 
 TEST(Executor, MultirateChainLengths) {
