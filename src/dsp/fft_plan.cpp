@@ -314,20 +314,4 @@ const FftPlan& plan_for(std::size_t n) {
   return PlanCache::instance().get(n);
 }
 
-std::shared_ptr<const FftPlan> plan_handle_for(std::size_t n) {
-  return PlanCache::instance().handle(n);
-}
-
-std::size_t plan_cache_capacity() {
-  return PlanCache::instance().capacity();
-}
-
-void set_plan_cache_capacity(std::size_t capacity) {
-  PlanCache::instance().set_capacity(capacity);
-}
-
-std::size_t plan_cache_size() { return PlanCache::instance().size(); }
-
-void clear_plan_cache() { PlanCache::instance().clear(); }
-
 }  // namespace psdacc::dsp

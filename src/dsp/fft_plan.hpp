@@ -138,16 +138,4 @@ class PlanCache {
 /// a plan longer.
 const FftPlan& plan_for(std::size_t n);
 
-/// Deprecated free-function spellings of the PlanCache facade.
-[[deprecated("use dsp::PlanCache::instance().handle()")]]
-std::shared_ptr<const FftPlan> plan_handle_for(std::size_t n);
-[[deprecated("use dsp::PlanCache::instance().capacity()")]]
-std::size_t plan_cache_capacity();
-[[deprecated("use dsp::PlanCache::instance().set_capacity()")]]
-void set_plan_cache_capacity(std::size_t capacity);
-[[deprecated("use dsp::PlanCache::instance().size()")]]
-std::size_t plan_cache_size();
-[[deprecated("use dsp::PlanCache::instance().clear()")]]
-void clear_plan_cache();
-
 }  // namespace psdacc::dsp

@@ -1,6 +1,7 @@
 #include "serve/net.hpp"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -10,6 +11,15 @@
 #include <string>
 
 namespace psdacc::serve {
+namespace {
+
+#ifdef MSG_MORE
+constexpr int kMoreFlag = MSG_MORE;
+#else
+constexpr int kMoreFlag = 0;
+#endif
+
+}  // namespace
 
 Socket::~Socket() { close(); }
 
@@ -54,10 +64,11 @@ long Socket::read_some(void* buf, std::size_t n) const {
   }
 }
 
-bool Socket::write_all(const void* buf, std::size_t n) const {
+bool Socket::write_all(const void* buf, std::size_t n, bool more) const {
+  const int flags = MSG_NOSIGNAL | (more ? kMoreFlag : 0);
   const char* p = static_cast<const char*>(buf);
   while (n > 0) {
-    const ssize_t put = ::send(fd_, p, n, MSG_NOSIGNAL);
+    const ssize_t put = ::send(fd_, p, n, flags);
     if (put < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -83,6 +94,12 @@ sockaddr_in loopback(std::uint16_t port) {
   return addr;
 }
 
+// Best effort: a socket without it still works, only slower.
+void set_no_delay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 ListenSocket::ListenSocket(std::uint16_t port) {
@@ -104,7 +121,10 @@ ListenSocket::ListenSocket(std::uint16_t port) {
 Socket ListenSocket::accept_connection() const {
   for (;;) {
     const int fd = ::accept(sock_.fd(), nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
+    if (fd >= 0) {
+      set_no_delay(fd);
+      return Socket(fd);
+    }
     if (errno != EINTR) return Socket();  // shut down or fatal
   }
 }
@@ -117,6 +137,7 @@ Socket connect_local(std::uint16_t port) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) < 0)
     throw_errno("connect 127.0.0.1");
+  set_no_delay(fd);
   return sock;
 }
 

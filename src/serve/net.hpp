@@ -1,9 +1,12 @@
 /// @file net.hpp
 /// Minimal POSIX TCP wrappers for the serving layer: RAII sockets bound to
 /// the IPv4 loopback, exact-length reads/writes, and a listener that can be
-/// unblocked for shutdown. Loopback-only on purpose — psdacc-serve is a
-/// local evaluation daemon, not an internet-facing service; anything
-/// remote belongs behind a reverse proxy that owns auth and TLS.
+/// unblocked for shutdown. Every connected socket (accepted or dialed) has
+/// TCP_NODELAY set: replies are small frames, and Nagle's algorithm would
+/// hold each one until the peer's delayed ACK (40 ms on Linux).
+/// Loopback-only on purpose — psdacc-serve is a local evaluation daemon,
+/// not an internet-facing service; anything remote belongs behind a
+/// reverse proxy that owns auth and TLS.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +45,11 @@ class Socket {
   long read_some(void* buf, std::size_t n) const;
   /// Writes all @p n bytes. False on error; SIGPIPE is suppressed
   /// (MSG_NOSIGNAL), so a vanished client surfaces as a failed write, not
-  /// a process signal.
-  bool write_all(const void* buf, std::size_t n) const;
+  /// a process signal. @p more tells the kernel that more bytes follow
+  /// shortly (MSG_MORE, where defined): it may hold them — for at most its
+  /// cork ceiling, about 200 ms — and send them in one segment with the
+  /// next write made without the hint.
+  bool write_all(const void* buf, std::size_t n, bool more = false) const;
 
  private:
   int fd_ = -1;

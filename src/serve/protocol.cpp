@@ -81,7 +81,8 @@ std::string encode_frame(FrameType type, std::string_view payload) {
 bool write_frame(const Socket& sock, FrameType type,
                  std::string_view payload) {
   const std::string wire = encode_frame(type, payload);
-  return sock.write_all(wire.data(), wire.size());
+  return sock.write_all(wire.data(), wire.size(),
+                        /*more=*/type == FrameType::kProgress);
 }
 
 std::string_view to_string(ReadStatus status) {

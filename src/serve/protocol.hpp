@@ -81,7 +81,10 @@ struct Frame {
 
 /// Wire encoding of one frame (tag + LE length + payload).
 std::string encode_frame(FrameType type, std::string_view payload);
-/// Writes one frame; false when the peer is gone.
+/// Writes one frame with one send; false when the peer is gone. PROG
+/// frames go out with the more-to-come hint (Socket::write_all): a PROG
+/// frame is never terminal, and the RSLT/ERRF that ends every job flushes
+/// the held frames in its own segment.
 bool write_frame(const Socket& sock, FrameType type,
                  std::string_view payload);
 
@@ -126,6 +129,8 @@ namespace error_code {
 inline constexpr std::string_view kProtocol = "PROTOCOL";
 inline constexpr std::string_view kParse = "PARSE";
 inline constexpr std::string_view kBadRequest = "BAD_REQUEST";
+/// The scenario parsed but cannot be evaluated (an unstable block).
+inline constexpr std::string_view kInvalid = "INVALID";
 inline constexpr std::string_view kRejectedBusy = "REJECTED_BUSY";
 inline constexpr std::string_view kTimeout = "TIMEOUT";
 inline constexpr std::string_view kUnsupported = "UNSUPPORTED";

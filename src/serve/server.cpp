@@ -5,6 +5,7 @@
 #include <exception>
 #include <future>
 #include <utility>
+#include <variant>
 
 #include "opt/search/pareto.hpp"
 #include "opt/search/strategies.hpp"
@@ -59,6 +60,20 @@ std::string format_point(const opt::search::ParetoPoint& p) {
     row += std::to_string(p.bits[i]);
   }
   return row;
+}
+
+/// Why no engine can evaluate @p g, or empty. A block with a pole on or
+/// outside the unit circle has no finite power response; the analytical
+/// engines would trip an internal precondition on it.
+std::string unstable_block(const sfg::Graph& g) {
+  for (sfg::NodeId id = 0; id < g.node_count(); ++id) {
+    const auto* block = std::get_if<sfg::BlockNode>(&g.node(id).payload);
+    if (block == nullptr || block->tf.is_stable()) continue;
+    return "block node " + std::to_string(id) + " (\"" +
+           std::string(g.name(id)) +
+           "\") is not stable: a pole lies on or outside the unit circle";
+  }
+  return {};
 }
 
 }  // namespace
@@ -206,16 +221,14 @@ void Server::serve_connection(Connection& conn) {
   conn.done.store(true);
 }
 
-void Server::handle_eval(const Socket& sock, const std::string& payload) {
-  const auto submitted = std::chrono::steady_clock::now();
-  JobEnvelope env;
+bool Server::parse_job(const Socket& sock, const std::string& payload,
+                       JobEnvelope& env, sfg::Scenario& scenario) {
   try {
     env = parse_envelope(payload);
   } catch (const EnvelopeError& e) {
     send_error(sock, error_code::kBadRequest, e.what());
-    return;
+    return false;
   }
-  sfg::Scenario scenario;
   try {
     scenario = sfg::parse_scenario(env.document);
   } catch (const sfg::ParseError& e) {
@@ -223,8 +236,20 @@ void Server::handle_eval(const Socket& sock, const std::string& payload) {
     append_kv(extra, "line", static_cast<std::uint64_t>(e.line()));
     append_kv(extra, "column", static_cast<std::uint64_t>(e.column()));
     send_error(sock, error_code::kParse, e.message(), extra);
-    return;
+    return false;
   }
+  if (const std::string why = unstable_block(scenario.graph); !why.empty()) {
+    send_error(sock, error_code::kInvalid, why);
+    return false;
+  }
+  return true;
+}
+
+void Server::handle_eval(const Socket& sock, const std::string& payload) {
+  const auto submitted = std::chrono::steady_clock::now();
+  JobEnvelope env;
+  sfg::Scenario scenario;
+  if (!parse_job(sock, payload, env, scenario)) return;
   // The key hashes the *canonical* form, so submissions differing only in
   // formatting (or carrying stale `expect` sections) still collide.
   const ContentHash hash =
@@ -339,22 +364,8 @@ void Server::run_eval_job(
 void Server::handle_opt(const Socket& sock, const std::string& payload) {
   const auto submitted = std::chrono::steady_clock::now();
   JobEnvelope env;
-  try {
-    env = parse_envelope(payload);
-  } catch (const EnvelopeError& e) {
-    send_error(sock, error_code::kBadRequest, e.what());
-    return;
-  }
   sfg::Scenario scenario;
-  try {
-    scenario = sfg::parse_scenario(env.document);
-  } catch (const sfg::ParseError& e) {
-    std::string extra;
-    append_kv(extra, "line", static_cast<std::uint64_t>(e.line()));
-    append_kv(extra, "column", static_cast<std::uint64_t>(e.column()));
-    send_error(sock, error_code::kParse, e.message(), extra);
-    return;
-  }
+  if (!parse_job(sock, payload, env, scenario)) return;
   if (scenario.graph.noise_sources().empty()) {
     send_error(sock, error_code::kBadRequest,
                "graph has no quantization noise sources to optimize");
@@ -492,22 +503,8 @@ void Server::run_opt_job(
 void Server::handle_sweep(const Socket& sock, const std::string& payload) {
   const auto submitted = std::chrono::steady_clock::now();
   JobEnvelope env;
-  try {
-    env = parse_envelope(payload);
-  } catch (const EnvelopeError& e) {
-    send_error(sock, error_code::kBadRequest, e.what());
-    return;
-  }
   sfg::Scenario scenario;
-  try {
-    scenario = sfg::parse_scenario(env.document);
-  } catch (const sfg::ParseError& e) {
-    std::string extra;
-    append_kv(extra, "line", static_cast<std::uint64_t>(e.line()));
-    append_kv(extra, "column", static_cast<std::uint64_t>(e.column()));
-    send_error(sock, error_code::kParse, e.message(), extra);
-    return;
-  }
+  if (!parse_job(sock, payload, env, scenario)) return;
   if (scenario.graph.noise_sources().empty()) {
     send_error(sock, error_code::kBadRequest,
                "graph has no quantization noise sources to optimize");

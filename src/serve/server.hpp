@@ -6,7 +6,8 @@
 /// per-engine results, optimizer assignments, or dominance-filtered
 /// fronts (one PROG frame per completed budget point).
 ///
-/// Request path, outermost tier first:
+/// Request path, outermost tier first (after parse_job, which answers
+/// BAD_REQUEST, PARSE or INVALID — an unstable block — before any tier):
 ///  1. **ResultCache** — a content-hash lookup over the canonical
 ///     (graph + config) document. A hit replays the stored payload bytes:
 ///     no parse-again, no engine, bit-identical response.
@@ -96,6 +97,11 @@ class Server {
 
   void accept_loop();
   void serve_connection(Connection& conn);
+  /// Splits @p payload into @p env and @p scenario and refuses a scenario
+  /// no engine can evaluate. False after an ERRF reply (BAD_REQUEST,
+  /// PARSE or INVALID).
+  bool parse_job(const Socket& sock, const std::string& payload,
+                 JobEnvelope& env, sfg::Scenario& scenario);
   void handle_eval(const Socket& sock, const std::string& payload);
   void handle_opt(const Socket& sock, const std::string& payload);
   void handle_sweep(const Socket& sock, const std::string& payload);

@@ -295,22 +295,4 @@ TEST_F(PlanCacheTest, ReRequestAfterEvictionIsCorrect) {
   EXPECT_LT(max_abs_diff(x, reference), 1e-10);
 }
 
-// The deprecated free-function spellings must keep forwarding to the same
-// thread-local cache until they are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(PlanCacheTest, DeprecatedForwardersReachTheSameCache) {
-  psdacc::dsp::set_plan_cache_capacity(3);
-  EXPECT_EQ(cache().capacity(), 3u);
-  EXPECT_EQ(psdacc::dsp::plan_cache_capacity(), 3u);
-
-  const auto via_forwarder = psdacc::dsp::plan_handle_for(16);
-  EXPECT_EQ(via_forwarder.get(), cache().handle(16).get());
-  EXPECT_EQ(psdacc::dsp::plan_cache_size(), cache().size());
-
-  psdacc::dsp::clear_plan_cache();
-  EXPECT_EQ(cache().size(), 0u);
-}
-#pragma GCC diagnostic pop
-
 }  // namespace

@@ -1,9 +1,11 @@
 // Serving-layer tests: wire-protocol robustness (truncated frames,
 // oversized length prefixes, unknown tags, malformed payloads), admission
 // control and drain semantics of the JobQueue, ResultCache LRU behavior,
-// latency histogram quantiles, and full end-to-end runs against a live
-// in-process server — including the golden corpus submitted over a real
-// socket and checked against its recorded expectations at 1e-9.
+// latency histogram quantiles, socket options (TCP_NODELAY), and full
+// end-to-end runs against a live in-process server — streamed PROG frame
+// order, refusal of unstable scenarios, and the golden corpus submitted
+// over a real socket and checked against its recorded expectations at
+// 1e-9.
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -18,6 +20,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
@@ -88,6 +94,43 @@ std::uint64_t stat_of(serve::Client& client, std::string_view key) {
   const auto kv = client.stats();
   return std::strtoull(std::string(serve::kv_get(kv, key, "0")).c_str(),
                        nullptr, 10);
+}
+
+// Sends one request frame on @p sock and reads every frame up to and
+// including the terminal RSLT/ERRF, in arrival order.
+std::vector<serve::Frame> exchange(const serve::Socket& sock,
+                                   serve::FrameType type,
+                                   const std::string& payload) {
+  std::vector<serve::Frame> frames;
+  if (!serve::write_frame(sock, type, payload)) return frames;
+  for (;;) {
+    serve::Frame frame;
+    if (serve::read_frame(sock, frame) != serve::ReadStatus::kOk)
+      return frames;
+    frames.push_back(std::move(frame));
+    if (frames.back().type != serve::FrameType::kProgress) return frames;
+  }
+}
+
+// True when the next frame on @p sock answers a STAT query: nothing of the
+// previous reply trails its terminal frame.
+bool next_frame_answers_stats(const serve::Socket& sock) {
+  const auto frames =
+      exchange(sock, serve::FrameType::kStatsQuery, std::string());
+  return frames.size() == 1 &&
+         frames.front().type == serve::FrameType::kStatsReply;
+}
+
+// A block with a pole on the unit circle (an integrator) behind one
+// quantizer: it parses, but has no finite power response.
+std::string unit_circle_document() {
+  return "psdacc-sfg v1\n"
+         "graph {\n"
+         "  node 0 input name=\"in\"\n"
+         "  node 1 quant in=[0] format=sQ4.12/round/sat name=\"q\"\n"
+         "  node 2 block in=[1] b=[1] a=[1 -1]\n"
+         "  node 3 output in=[2] name=\"out\"\n"
+         "}\n";
 }
 
 class ServeServerTest : public ::testing::Test {
@@ -285,6 +328,28 @@ TEST(ServeQueue, SurvivesThrowingJobs) {
   ASSERT_TRUE(queue.try_submit([&ran] { ran = true; }));
   queue.drain_and_stop();
   EXPECT_TRUE(ran.load());
+}
+
+// ---------------------------------------------------------------------------
+// Sockets
+// ---------------------------------------------------------------------------
+
+int no_delay_of(const serve::Socket& sock) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0)
+    return -1;
+  return value;
+}
+
+TEST(ServeNet, DialedAndAcceptedSocketsSetNoDelay) {
+  const serve::ListenSocket listener(0);
+  const serve::Socket dialed = serve::connect_local(listener.port());
+  const serve::Socket accepted = listener.accept_connection();
+  ASSERT_TRUE(dialed.valid());
+  ASSERT_TRUE(accepted.valid());
+  EXPECT_EQ(no_delay_of(dialed), 1);
+  EXPECT_EQ(no_delay_of(accepted), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -552,6 +617,33 @@ TEST_F(ServeServerTest, OptimizerJobStreamsProgressAndReturnsAssignment) {
   EXPECT_EQ(serve::kv_get(kv, "step"), "1");
 }
 
+TEST_F(ServeServerTest, OptimizerProgressFramesPrecedeTheResultInOrder) {
+  start();
+  const serve::Socket sock = serve::connect_local(server_->port());
+  serve::OptimizerSpec spec;
+  spec.strategy = "greedy";
+  spec.noise_budget = 1e-8;
+  // pure_chain carries three noise sources (input quantizer and two
+  // quantized blocks), so the descent takes many steps.
+  const std::string payload =
+      serve::encode_envelope_prefix(0ms, &spec) +
+      read_file(std::string(PSDACC_CORPUS_DIR) + "/pure_chain.sfg");
+  const auto frames =
+      exchange(sock, serve::FrameType::kSubmitOpt, payload);
+  ASSERT_GE(frames.size(), 3u);
+  ASSERT_EQ(frames.back().type, serve::FrameType::kResult)
+      << frames.back().payload;
+  const auto result = serve::parse_kv_lines(frames.back().payload);
+  const std::size_t steps = frames.size() - 1;
+  EXPECT_EQ(serve::kv_get(result, "steps"), std::to_string(steps));
+  for (std::size_t i = 0; i < steps; ++i) {
+    ASSERT_EQ(frames[i].type, serve::FrameType::kProgress);
+    const auto kv = serve::parse_kv_lines(frames[i].payload);
+    EXPECT_EQ(serve::kv_get(kv, "step"), std::to_string(i + 1));
+  }
+  EXPECT_TRUE(next_frame_answers_stats(sock));
+}
+
 TEST_F(ServeServerTest, OptimizerTimeoutReturnsPartialState) {
   start();
   serve::Client client = connect();
@@ -668,6 +760,29 @@ TEST_F(ServeServerTest, SweepJobStreamsOnePointPerBudgetAndReturnsFront) {
   EXPECT_GT(r.probes_delta, 0u);
 }
 
+TEST_F(ServeServerTest, SweepProgressFramesPrecedeTheResultOnePerPoint) {
+  start();
+  const serve::Socket sock = serve::connect_local(server_->port());
+  serve::SweepSpec spec;
+  spec.budgets = {1e-9, 1e-8, 1e-7};
+  spec.min_bits = 4;
+  spec.max_bits = 20;
+  const std::string payload =
+      serve::encode_envelope_prefix(0ms, spec) +
+      read_file(std::string(PSDACC_CORPUS_DIR) + "/pure_chain.sfg");
+  const auto frames =
+      exchange(sock, serve::FrameType::kSubmitSweep, payload);
+  ASSERT_EQ(frames.size(), spec.budgets.size() + 1);
+  for (std::size_t i = 0; i < spec.budgets.size(); ++i) {
+    ASSERT_EQ(frames[i].type, serve::FrameType::kProgress);
+    const auto kv = serve::parse_kv_lines(frames[i].payload);
+    EXPECT_EQ(serve::kv_get(kv, "point"), std::to_string(i));
+  }
+  EXPECT_EQ(frames.back().type, serve::FrameType::kResult)
+      << frames.back().payload;
+  EXPECT_TRUE(next_frame_answers_stats(sock));
+}
+
 TEST_F(ServeServerTest, SweepCacheHitReplaysBitIdenticalWithoutProgress) {
   start();
   serve::Client client = connect();
@@ -755,6 +870,38 @@ TEST_F(ServeServerTest, SweepRejectsBadSections) {
   }
   // The connection survives every rejection.
   EXPECT_TRUE(client.submit_eval(doc).ok);
+}
+
+// ---------------------------------------------------------------------------
+// Live server: scenarios no engine can evaluate
+// ---------------------------------------------------------------------------
+
+TEST_F(ServeServerTest, UnstableBlockIsInvalidAndTheConnectionSurvives) {
+  start();
+  serve::Client client = connect();
+  const std::string doc = unit_circle_document();
+  const auto expect_invalid = [](const serve::Response& r) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "INVALID") << r.message;
+    EXPECT_NE(r.message.find("block node 2"), std::string::npos)
+        << r.message;
+    EXPECT_TRUE(r.progress.empty());
+  };
+  expect_invalid(client.submit_eval(doc));
+  serve::OptimizerSpec opt;
+  expect_invalid(client.submit_opt(doc, opt));
+  serve::SweepSpec sweep;
+  sweep.budgets = {1e-8, 1e-6};
+  expect_invalid(client.submit_sweep(doc, sweep));
+  // Refused before the cache: nothing was looked up or stored.
+  EXPECT_EQ(stat_of(client, "cache_size"), 0u);
+  EXPECT_EQ(stat_of(client, "cache_misses"), 0u);
+
+  const auto ok = client.submit_eval(
+      read_file(std::string(PSDACC_CORPUS_DIR) + "/fir_lp_direct.sfg"));
+  ASSERT_TRUE(ok.ok) << ok.error << ": " << ok.message;
+  EXPECT_FALSE(ok.engines.empty());
+  EXPECT_EQ(stat_of(client, "cache_size"), 1u);
 }
 
 // ---------------------------------------------------------------------------
