@@ -32,7 +32,6 @@
 #include "serve/server.hpp"
 #include "sfg/graph.hpp"
 #include "sfg/serialize.hpp"
-#include "sfg/verify.hpp"
 #include "sim/error_measurement.hpp"
 
 namespace {
@@ -198,7 +197,7 @@ double in_process_opt_ms(const std::string& doc,
   cfg.min_bits = spec.min_bits;
   cfg.max_bits = spec.max_bits;
   cfg.n_psd = sc.config.n_psd;
-  cfg.engine_opts = sfg::engine_options_for(sc.config);
+  cfg.engine_opts = sim::engine_options_for(sc.config);
   opt::WordlengthOptimizer optimizer(sc.graph, sc.graph.noise_sources(),
                                      cfg);
   opt::search::StrategySpec strategy;

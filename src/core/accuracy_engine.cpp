@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "core/flat_analyzer.hpp"
 #include "core/moment_analyzer.hpp"
@@ -268,6 +269,17 @@ bool engine_supports(EngineKind kind, const sfg::Graph& g) {
   return true;
 }
 
+std::string unstable_block(const sfg::Graph& g) {
+  for (sfg::NodeId id = 0; id < g.node_count(); ++id) {
+    const auto* block = std::get_if<sfg::BlockNode>(&g.node(id).payload);
+    if (block == nullptr || block->tf.is_stable()) continue;
+    return "block node " + std::to_string(id) + " (\"" +
+           std::string(g.name(id)) +
+           "\") is not stable: a pole lies on or outside the unit circle";
+  }
+  return {};
+}
+
 std::unique_ptr<AccuracyEngine> make_engine(EngineKind kind,
                                             const sfg::Graph& g,
                                             const EngineOptions& opts) {
@@ -278,6 +290,8 @@ std::unique_ptr<AccuracyEngine> make_engine(EngineKind kind,
         "single-rate LTI system and the graph contains up/down-samplers "
         "(use the psd, moment, or simulation engine instead)");
   }
+  if (std::string why = unstable_block(g); !why.empty())
+    throw std::invalid_argument(std::move(why));
   switch (kind) {
     case EngineKind::kFlat: return std::make_unique<FlatEngine>(g, opts);
     case EngineKind::kMoment:

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "core/noise_spectrum.hpp"
@@ -167,11 +168,19 @@ class AccuracyEngine {
 /// multirate graphs; everything else accepts any acyclic SFG).
 bool engine_supports(EngineKind kind, const sfg::Graph& g);
 
+/// Why no engine can evaluate @p g, or empty. A block with a pole on or
+/// outside the unit circle has no finite power response: the analytical
+/// engines would trip an internal precondition on it and the simulation
+/// would diverge. Drivers that must answer before building an engine (the
+/// serve daemon's INVALID reply) call this directly.
+std::string unstable_block(const sfg::Graph& g);
+
 /// Factory: preprocesses @p g (tau_pp) and returns the engine.
 /// @param g    acyclic SFG with exactly one Output; must outlive the engine
 /// @param opts per-backend knobs (each engine reads only its own)
 /// @throws std::invalid_argument when engine_supports(kind, g) is false,
-///         e.g. the flat engine on a multirate graph
+///         e.g. the flat engine on a multirate graph, or when a block is
+///         unstable (the message is unstable_block(g))
 std::unique_ptr<AccuracyEngine> make_engine(EngineKind kind,
                                             const sfg::Graph& g,
                                             const EngineOptions& opts = {});

@@ -1,8 +1,5 @@
 #include "dsp/convolution.hpp"
 
-#include <algorithm>
-
-#include "dsp/kernels.hpp"
 #include "support/assert.hpp"
 
 namespace psdacc::dsp {
@@ -15,89 +12,5 @@ std::vector<double> convolve_direct(std::span<const double> x,
     for (std::size_t j = 0; j < h.size(); ++j) out[i + j] += x[i] * h[j];
   return out;
 }
-
-std::vector<double> convolve_fft(std::span<const double> x,
-                                 std::span<const double> h) {
-  PSDACC_EXPECTS(!x.empty() && !h.empty());
-  const std::size_t out_len = x.size() + h.size() - 1;
-  const std::size_t n = next_power_of_two(out_len);
-  const FftPlan& plan = plan_for(n);
-  std::vector<cplx> xs, hs;
-  plan.rfft(x, xs);
-  plan.rfft(h, hs);
-  kernels::complex_mul(xs, hs);
-  plan.inverse(xs);
-  std::vector<double> out(out_len);
-  for (std::size_t i = 0; i < out_len; ++i) out[i] = xs[i].real();
-  return out;
-}
-
-OverlapSave::OverlapSave(std::span<const double> h, std::size_t fft_size)
-    : taps_(h.size()),
-      fft_size_(fft_size),
-      plan_(PlanCache::instance().handle(fft_size)) {
-  PSDACC_EXPECTS(!h.empty());
-  PSDACC_EXPECTS(is_power_of_two(fft_size));
-  PSDACC_EXPECTS(fft_size >= 2 * h.size());
-  block_size_ = fft_size_ - taps_ + 1;
-  plan_->rfft(h, h_spectrum_);
-  history_.assign(taps_ - 1, 0.0);
-  buf_.resize(fft_size_);
-}
-
-std::vector<double> OverlapSave::process_block(std::span<const double> x) {
-  PSDACC_EXPECTS(x.size() == block_size_);
-  // Assemble [history | x] of length fft_size_.
-  for (std::size_t i = 0; i < history_.size(); ++i)
-    buf_[i] = cplx(history_[i], 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    buf_[history_.size() + i] = cplx(x[i], 0.0);
-  plan_->forward(buf_);
-  kernels::complex_mul(buf_, h_spectrum_);
-  plan_->inverse(buf_);
-  // The first taps_-1 outputs are circularly corrupted; keep the rest.
-  std::vector<double> out(block_size_);
-  for (std::size_t i = 0; i < block_size_; ++i)
-    out[i] = buf_[taps_ - 1 + i].real();
-  // Save the tail of the input as history for the next block.
-  if (taps_ > 1) {
-    const std::size_t keep = taps_ - 1;
-    std::vector<double> next(keep);
-    if (x.size() >= keep) {
-      std::copy(x.end() - static_cast<std::ptrdiff_t>(keep), x.end(),
-                next.begin());
-    } else {
-      const std::size_t from_hist = keep - x.size();
-      std::copy(history_.end() - static_cast<std::ptrdiff_t>(from_hist),
-                history_.end(), next.begin());
-      std::copy(x.begin(), x.end(), next.begin() + static_cast<std::ptrdiff_t>(
-                                                       from_hist));
-    }
-    history_ = std::move(next);
-  }
-  return out;
-}
-
-std::vector<double> OverlapSave::filter(std::span<const double> x) {
-  std::vector<double> out;
-  out.reserve(x.size());
-  std::vector<double> block(block_size_, 0.0);
-  std::size_t pos = 0;
-  while (pos < x.size()) {
-    const std::size_t take = std::min(block_size_, x.size() - pos);
-    std::fill(block.begin(), block.end(), 0.0);
-    std::copy(x.begin() + static_cast<std::ptrdiff_t>(pos),
-              x.begin() + static_cast<std::ptrdiff_t>(pos + take),
-              block.begin());
-    const auto y = process_block(block);
-    const std::size_t emit = std::min(take, y.size());
-    out.insert(out.end(), y.begin(),
-               y.begin() + static_cast<std::ptrdiff_t>(emit));
-    pos += take;
-  }
-  return out;
-}
-
-void OverlapSave::reset() { std::fill(history_.begin(), history_.end(), 0.0); }
 
 }  // namespace psdacc::dsp

@@ -1,61 +1,14 @@
-// Linear convolution: direct, FFT-based, and streaming overlap-save.
-//
-// Overlap-save is the block method the paper's frequency-domain filter
-// (Fig. 2) is built on; the streaming class keeps the tail between calls so
-// it can sit inside a per-sample simulation.
+// Direct linear convolution: the reference oracle the filter, wavelet and
+// frequency-domain tests compare their block implementations against.
 #pragma once
 
-#include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
-
-#include "dsp/fft_plan.hpp"
 
 namespace psdacc::dsp {
 
 /// Direct O(N*M) linear convolution; output length N + M - 1.
 std::vector<double> convolve_direct(std::span<const double> x,
                                     std::span<const double> h);
-
-/// FFT-based linear convolution; output length N + M - 1. Identical result
-/// to convolve_direct up to round-off.
-std::vector<double> convolve_fft(std::span<const double> x,
-                                 std::span<const double> h);
-
-/// Streaming overlap-save convolver. Processes fixed-size input blocks with
-/// an FFT of size fft_size >= 2 * taps; emits `block_size = fft_size - taps
-/// + 1` valid output samples per block.
-class OverlapSave {
- public:
-  /// `h` is the FIR impulse response; `fft_size` must be >= 2 * h.size()
-  /// rounded to a power of two by the caller (asserted).
-  OverlapSave(std::span<const double> h, std::size_t fft_size);
-
-  std::size_t block_size() const { return block_size_; }
-  std::size_t fft_size() const { return fft_size_; }
-
-  /// Consumes exactly block_size() input samples, produces block_size()
-  /// output samples of the steady-state convolution x * h.
-  std::vector<double> process_block(std::span<const double> x);
-
-  /// Convenience: filters a whole signal (padding the tail with zeros);
-  /// returns x.size() samples, matching the "same" part of x * h.
-  std::vector<double> filter(std::span<const double> x);
-
-  /// Resets the inter-block history to zero.
-  void reset();
-
- private:
-  std::size_t taps_;
-  std::size_t fft_size_;
-  std::size_t block_size_;
-  // Shared ownership: stays valid even if the thread's plan cache evicts
-  // this size while the convolver is alive.
-  std::shared_ptr<const FftPlan> plan_;
-  std::vector<cplx> h_spectrum_;
-  std::vector<double> history_;  // last taps_-1 inputs from previous block
-  std::vector<cplx> buf_;        // per-block transform scratch, reused
-};
 
 }  // namespace psdacc::dsp

@@ -253,7 +253,7 @@ CacheState& thread_cache() {
 }
 
 // Evicting is a plain erase: the shared_ptr keeps the plan alive for any
-// holder (a parent plan's sub-plan member, an OverlapSave, a caller mid
+// holder (a parent plan's sub-plan member, a caller mid
 // PlanCache::handle), so eviction can only ever free memory, never dangle.
 void evict_to_capacity(CacheState& cache) {
   while (cache.map.size() > cache.capacity) {

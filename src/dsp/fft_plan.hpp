@@ -19,10 +19,10 @@
 // cached plan per size. The cache is thread-local: concurrent lookups from
 // different threads are safe and each thread gets its own plan instances
 // (plans own mutable scratch, so a single plan must not be driven from two
-// threads at once). Objects that hold plan pointers (`OverlapSave`,
-// spectral estimators mid-call) are therefore bound to the thread that
-// created them; the `runtime::` ThreadPool workloads respect this by giving
-// every worker its own analyzers and plans.
+// threads at once). Anything that holds a plan pointer (a parent plan's
+// sub-plans, a spectral estimator mid-call) is therefore bound to the
+// thread that created it; the `runtime::` ThreadPool workloads respect
+// this by giving every worker its own analyzers and plans.
 //
 // The cache is *bounded*: at most `PlanCache::capacity()` plans per thread,
 // least-recently-used evicted first, so a long-running server worker that
@@ -30,10 +30,10 @@
 // Eviction is safe for live holders: plans are shared_ptr-owned and a plan
 // owns its sub-plans (Bluestein convolution size, rfft half size), so
 // evicting an entry only drops the cache's reference — anything still using
-// the plan (an `OverlapSave`, a parent plan) keeps it alive. References
-// returned by `plan_for` are only guaranteed until the calling thread's
-// next `plan_for`/`PlanCache::handle` call; holders that outlive that use
-// `PlanCache::handle`.
+// the plan (a parent plan, a `PlanCache::handle` holder) keeps it alive.
+// References returned by `plan_for` are only guaranteed until the calling
+// thread's next `plan_for`/`PlanCache::handle` call; holders that outlive
+// that use `PlanCache::handle`.
 #pragma once
 
 #include <cstddef>
@@ -108,7 +108,7 @@ class PlanCache {
 
   /// Cached plan with shared ownership: stays alive for the holder even
   /// after eviction. The form every object that keeps a plan across calls
-  /// (OverlapSave, a server worker's warm set) uses.
+  /// (a parent plan's Bluestein and rfft sub-plans) uses.
   std::shared_ptr<const FftPlan> handle(std::size_t n);
 
   /// Cached plan by reference; valid until this thread's next cache

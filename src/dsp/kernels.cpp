@@ -133,29 +133,6 @@ void complex_mul(std::span<double> xr, std::span<double> xi,
   }
 }
 
-void complex_mul(std::span<cplx> x, std::span<const cplx> y) {
-  PSDACC_EXPECTS(y.size() >= x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double a = x[i].real();
-    const double b = x[i].imag();
-    const double c = y[i].real();
-    const double d = y[i].imag();
-    x[i] = cplx(a * c - b * d, a * d + b * c);
-  }
-}
-
-void complex_mul_add(std::span<double> or_, std::span<double> oi,
-                     std::span<const double> xr, std::span<const double> xi,
-                     std::span<const double> yr, std::span<const double> yi) {
-  PSDACC_EXPECTS(or_.size() == oi.size());
-  PSDACC_EXPECTS(xr.size() >= or_.size() && xi.size() >= or_.size());
-  PSDACC_EXPECTS(yr.size() >= or_.size() && yi.size() >= or_.size());
-  for (std::size_t i = 0; i < or_.size(); ++i) {
-    or_[i] += xr[i] * yr[i] - xi[i] * yi[i];
-    oi[i] += xr[i] * yi[i] + xi[i] * yr[i];
-  }
-}
-
 void split_complex(std::span<const cplx> x, std::span<double> re,
                    std::span<double> im) {
   PSDACC_EXPECTS(re.size() == x.size() && im.size() == x.size());
@@ -417,60 +394,6 @@ void complex_mul(std::span<double> xr, std::span<double> xi,
     const double m = xr[i] * yi[i] + xi[i] * yr[i];
     xr[i] = r;
     xi[i] = m;
-  }
-#endif
-}
-
-void complex_mul(std::span<cplx> x, std::span<const cplx> y) {
-#if !PSDACC_SIMD_ENABLED
-  scalar::complex_mul(x, y);
-#else
-  PSDACC_EXPECTS(y.size() >= x.size());
-  double* xd = reinterpret_cast<double*>(x.data());
-  const double* yd = reinterpret_cast<const double*>(y.data());
-  std::size_t i = 0;
-  for (; i + W <= x.size(); i += W) {
-    simd::VDouble ar, ai, br, bi;
-    simd::deinterleave(simd::load(xd + 2 * i), simd::load(xd + 2 * i + W),
-                       ar, ai);
-    simd::deinterleave(simd::load(yd + 2 * i), simd::load(yd + 2 * i + W),
-                       br, bi);
-    simd::VDouble lo, hi;
-    simd::interleave(ar * br - ai * bi, ar * bi + ai * br, lo, hi);
-    simd::store(xd + 2 * i, lo);
-    simd::store(xd + 2 * i + W, hi);
-  }
-  for (; i < x.size(); ++i) {
-    const double a = x[i].real();
-    const double b = x[i].imag();
-    const double c = y[i].real();
-    const double d = y[i].imag();
-    x[i] = cplx(a * c - b * d, a * d + b * c);
-  }
-#endif
-}
-
-void complex_mul_add(std::span<double> or_, std::span<double> oi,
-                     std::span<const double> xr, std::span<const double> xi,
-                     std::span<const double> yr, std::span<const double> yi) {
-#if !PSDACC_SIMD_ENABLED
-  scalar::complex_mul_add(or_, oi, xr, xi, yr, yi);
-#else
-  PSDACC_EXPECTS(or_.size() == oi.size());
-  PSDACC_EXPECTS(xr.size() >= or_.size() && xi.size() >= or_.size());
-  PSDACC_EXPECTS(yr.size() >= or_.size() && yi.size() >= or_.size());
-  std::size_t i = 0;
-  for (; i + W <= or_.size(); i += W) {
-    const simd::VDouble ar = simd::load(&xr[i]);
-    const simd::VDouble ai = simd::load(&xi[i]);
-    const simd::VDouble br = simd::load(&yr[i]);
-    const simd::VDouble bi = simd::load(&yi[i]);
-    simd::store(&or_[i], simd::load(&or_[i]) + (ar * br - ai * bi));
-    simd::store(&oi[i], simd::load(&oi[i]) + (ar * bi + ai * br));
-  }
-  for (; i < or_.size(); ++i) {
-    or_[i] += xr[i] * yr[i] - xi[i] * yi[i];
-    oi[i] += xr[i] * yi[i] + xi[i] * yr[i];
   }
 #endif
 }

@@ -90,19 +90,6 @@ void window_accumulate(std::span<double> acc,
 void complex_mul(std::span<double> xr, std::span<double> xi,
                  std::span<const double> yr, std::span<const double> yi);
 
-/// Pointwise complex product on interleaved std::complex arrays:
-/// x[i] *= y[i]. The fast-convolution spectrum products
-/// (convolve_fft, OverlapSave) run on this.
-void complex_mul(std::span<std::complex<double>> x,
-                 std::span<const std::complex<double>> y);
-
-/// Split-complex multiply-accumulate: (or_,oi)[i] += (xr,xi)[i] * (yr,yi)[i],
-/// with the product formed by the direct formula and added to the
-/// accumulator in one (unfused) add per component.
-void complex_mul_add(std::span<double> or_, std::span<double> oi,
-                     std::span<const double> xr, std::span<const double> xi,
-                     std::span<const double> yr, std::span<const double> yi);
-
 /// Deinterleaves std::complex data into split re/im arrays (all spans the
 /// same length). The FFT entry points use this to move between the public
 /// interleaved layout and the plan's split-complex scratch.
@@ -148,11 +135,6 @@ void window_accumulate(std::span<double> acc,
                        double scale);
 void complex_mul(std::span<double> xr, std::span<double> xi,
                  std::span<const double> yr, std::span<const double> yi);
-void complex_mul(std::span<std::complex<double>> x,
-                 std::span<const std::complex<double>> y);
-void complex_mul_add(std::span<double> or_, std::span<double> oi,
-                     std::span<const double> xr, std::span<const double> xi,
-                     std::span<const double> yr, std::span<const double> yi);
 void split_complex(std::span<const std::complex<double>> x,
                    std::span<double> re, std::span<double> im);
 void merge_complex(std::span<const double> re, std::span<const double> im,

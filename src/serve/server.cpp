@@ -5,12 +5,11 @@
 #include <exception>
 #include <future>
 #include <utility>
-#include <variant>
 
 #include "opt/search/pareto.hpp"
 #include "opt/search/strategies.hpp"
 #include "opt/wordlength_optimizer.hpp"
-#include "sfg/verify.hpp"
+#include "sim/error_measurement.hpp"
 #include "support/assert.hpp"
 
 namespace psdacc::serve {
@@ -62,18 +61,40 @@ std::string format_point(const opt::search::ParetoPoint& p) {
   return row;
 }
 
-/// Why no engine can evaluate @p g, or empty. A block with a pole on or
-/// outside the unit circle has no finite power response; the analytical
-/// engines would trip an internal precondition on it.
-std::string unstable_block(const sfg::Graph& g) {
-  for (sfg::NodeId id = 0; id < g.node_count(); ++id) {
-    const auto* block = std::get_if<sfg::BlockNode>(&g.node(id).payload);
-    if (block == nullptr || block->tf.is_stable()) continue;
-    return "block node " + std::to_string(id) + " (\"" +
-           std::string(g.name(id)) +
-           "\") is not stable: a pole lies on or outside the unit circle";
-  }
-  return {};
+/// A `status=OK` RSLT payload: cache state, hash, then @p body.
+std::string ok_response(std::string_view cache, const ContentHash& hash,
+                        std::string_view body) {
+  std::string response = "status=OK\n";
+  append_kv(response, "cache", cache);
+  append_kv(response, "hash", hash.to_string());
+  response += body;
+  return response;
+}
+
+bool expired(const Deadline& deadline) {
+  return deadline.has_value() && std::chrono::steady_clock::now() >= *deadline;
+}
+
+/// The search settings OPTJ and PARJ share: bit range, probe engine and
+/// resolution (0 = the scenario's n_psd), the scenario's engine options,
+/// the server's probe pool, and the strategy with its annealer seed.
+/// parse_envelope validated the strategy token against the vocabulary
+/// run_strategy dispatches on, so running it cannot throw on the name.
+template <class Spec>
+std::pair<opt::OptimizerConfig, opt::search::StrategySpec> search_settings(
+    const Spec& spec, const sfg::Scenario& scenario,
+    runtime::ThreadPool* pool) {
+  opt::OptimizerConfig cfg;
+  cfg.min_bits = spec.min_bits;
+  cfg.max_bits = spec.max_bits;
+  cfg.n_psd = spec.n_psd != 0 ? spec.n_psd : scenario.config.n_psd;
+  cfg.engine = spec.engine;
+  cfg.engine_opts = sim::engine_options_for(scenario.config);
+  cfg.pool = pool;
+  opt::search::StrategySpec strategy;
+  strategy.name = spec.strategy;
+  strategy.anneal.seed = spec.seed;
+  return {std::move(cfg), std::move(strategy)};
 }
 
 }  // namespace
@@ -143,10 +164,7 @@ void Server::accept_loop() {
   for (;;) {
     Socket sock = listener_->accept_connection();
     if (!sock.valid() || stopping_.load()) break;
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++connections_;
-    }
+    count(connections_);
     reap_connections(/*all=*/false);
     auto conn = std::make_unique<Connection>();
     conn->sock = std::move(sock);
@@ -186,10 +204,7 @@ void Server::serve_connection(Connection& conn) {
       send_error(conn.sock, error_code::kProtocol, to_string(status));
       break;  // framing is lost; the connection cannot be resynchronized
     }
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++frames_;
-    }
+    count(frames_);
     bool keep = true;
     switch (frame.type) {
       case FrameType::kStatsQuery:
@@ -238,7 +253,8 @@ bool Server::parse_job(const Socket& sock, const std::string& payload,
     send_error(sock, error_code::kParse, e.message(), extra);
     return false;
   }
-  if (const std::string why = unstable_block(scenario.graph); !why.empty()) {
+  if (const std::string why = core::unstable_block(scenario.graph);
+      !why.empty()) {
     send_error(sock, error_code::kInvalid, why);
     return false;
   }
@@ -254,177 +270,69 @@ void Server::handle_eval(const Socket& sock, const std::string& payload) {
   // formatting (or carrying stale `expect` sections) still collide.
   const ContentHash hash =
       sfg::content_hash(scenario.graph, scenario.config);
-  if (auto cached = cache_.lookup(hash)) {
-    std::string response = "status=OK\n";
-    append_kv(response, "cache", "hit");
-    append_kv(response, "hash", hash.to_string());
-    response += *cached;
-    record_latency(submitted);
-    write_frame(sock, FrameType::kResult, response);
-    return;
-  }
-  const auto deadline = deadline_for(env.timeout);
-  // The connection thread blocks on the job, so the executor may write to
-  // the socket and capture these locals by reference without a race.
-  std::promise<void> done;
-  auto finished = done.get_future();
-  const bool admitted = queue_->try_submit([&, this] {
-    try {
-      run_eval_job(sock, scenario, hash, deadline, submitted);
-    } catch (...) {  // NOLINT(bugprone-empty-catch) — reported inside
-    }
-    done.set_value();
+  if (replay_cached(sock, hash, submitted)) return;
+  admit(sock, env.timeout, [&](const Deadline& deadline) {
+    run_eval_job(sock, scenario, hash, deadline, submitted);
   });
-  if (!admitted) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_rejected_;
-    }
-    send_error(sock, error_code::kRejectedBusy,
-               "job queue is at capacity; resubmit later");
-    return;
-  }
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++jobs_accepted_;
-  }
-  finished.wait();
 }
 
-void Server::run_eval_job(
-    const Socket& sock, const sfg::Scenario& scenario,
-    const ContentHash& hash,
-    std::optional<std::chrono::steady_clock::time_point> deadline,
-    std::chrono::steady_clock::time_point submitted) {
-  const auto expired = [&deadline] {
-    return deadline.has_value() &&
-           std::chrono::steady_clock::now() >= *deadline;
-  };
-  if (expired()) {  // spent its whole budget waiting in the queue
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_timeout_;
-    }
-    send_error(sock, error_code::kTimeout,
-               "deadline expired before evaluation started");
-    return;
-  }
+void Server::run_eval_job(const Socket& sock, const sfg::Scenario& scenario,
+                          const ContentHash& hash, const Deadline& deadline,
+                          std::chrono::steady_clock::time_point submitted) {
+  if (expired_in_queue(sock, deadline, "evaluation")) return;
   std::string body;
   try {
-    // Mirror sfg::evaluate_expected engine by engine — the reason a served
-    // response matches the golden corpus to the same bits — with a
-    // deadline check between engines.
-    const core::EngineOptions opts =
-        sfg::engine_options_for(scenario.config);
-    std::string lines;
-    std::uint64_t engines_run = 0;
-    for (const core::EngineKind kind : scenario.config.engines) {
-      if (!core::engine_supports(kind, scenario.graph)) continue;
-      if (expired()) {
-        {
-          std::lock_guard lock(stats_mutex_);
-          ++jobs_timeout_;
-        }
-        std::string extra;
-        append_kv(extra, "engines_completed", engines_run);
-        send_error(sock, error_code::kTimeout,
-                   "deadline expired between engines", extra);
-        return;
-      }
-      const auto engine = core::make_engine(kind, scenario.graph, opts);
-      append_kv(lines, core::to_string(kind),
-                engine->output_noise_power());
-      ++engines_run;
+    // The engine loop sfg::evaluate_expected projects — the reason a
+    // served response matches the golden corpus to the same bits — with
+    // the deadline polled between engines.
+    const sim::AccuracyReport report =
+        sim::evaluate_accuracy(scenario.graph, scenario.config, nullptr,
+                               [&deadline] { return expired(deadline); });
+    const auto engines_run =
+        static_cast<std::uint64_t>(report.estimates.size());
+    if (report.cancelled) {
+      count(jobs_timeout_);
+      std::string extra;
+      append_kv(extra, "engines_completed", engines_run);
+      send_error(sock, error_code::kTimeout,
+                 "deadline expired between engines", extra);
+      return;
     }
     append_kv(body, "engines", engines_run);
-    body += lines;
+    for (const sim::EngineEstimate& e : report.estimates)
+      append_kv(body, core::to_string(e.kind), e.power);
   } catch (const std::exception& e) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_failed_;
-    }
+    count(jobs_failed_);
     send_error(sock, error_code::kInternal, e.what());
     return;
   }
   // Cache the payload *bytes*: a later hit replays them verbatim, making
   // resubmission responses bit-identical by construction.
   cache_.insert(hash, body);
-  std::string response = "status=OK\n";
-  append_kv(response, "cache", "miss");
-  append_kv(response, "hash", hash.to_string());
-  response += body;
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++jobs_completed_;
-  }
+  count(jobs_completed_);
   record_latency(submitted);
-  write_frame(sock, FrameType::kResult, response);
+  write_frame(sock, FrameType::kResult, ok_response("miss", hash, body));
 }
 
 void Server::handle_opt(const Socket& sock, const std::string& payload) {
   const auto submitted = std::chrono::steady_clock::now();
   JobEnvelope env;
   sfg::Scenario scenario;
-  if (!parse_job(sock, payload, env, scenario)) return;
-  if (scenario.graph.noise_sources().empty()) {
-    send_error(sock, error_code::kBadRequest,
-               "graph has no quantization noise sources to optimize");
+  if (!parse_job(sock, payload, env, scenario) ||
+      !searchable(sock, scenario, env.optimizer.engine))
     return;
-  }
-  if (!core::engine_supports(env.optimizer.engine, scenario.graph)) {
-    send_error(sock, error_code::kUnsupported,
-               "requested probe engine cannot evaluate this graph");
-    return;
-  }
-  const auto deadline = deadline_for(env.timeout);
-  std::promise<void> done;
-  auto finished = done.get_future();
-  const bool admitted = queue_->try_submit([&, this] {
-    try {
-      run_opt_job(sock, scenario, env.optimizer, deadline, submitted);
-    } catch (...) {  // NOLINT(bugprone-empty-catch) — reported inside
-    }
-    done.set_value();
+  admit(sock, env.timeout, [&](const Deadline& deadline) {
+    run_opt_job(sock, scenario, env.optimizer, deadline, submitted);
   });
-  if (!admitted) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_rejected_;
-    }
-    send_error(sock, error_code::kRejectedBusy,
-               "job queue is at capacity; resubmit later");
-    return;
-  }
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++jobs_accepted_;
-  }
-  finished.wait();
 }
 
-void Server::run_opt_job(
-    const Socket& sock, sfg::Scenario& scenario, const OptimizerSpec& spec,
-    std::optional<std::chrono::steady_clock::time_point> deadline,
-    std::chrono::steady_clock::time_point submitted) {
-  if (deadline.has_value() &&
-      std::chrono::steady_clock::now() >= *deadline) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_timeout_;
-    }
-    send_error(sock, error_code::kTimeout,
-               "deadline expired before optimization started");
-    return;
-  }
+void Server::run_opt_job(const Socket& sock, sfg::Scenario& scenario,
+                         const OptimizerSpec& spec, const Deadline& deadline,
+                         std::chrono::steady_clock::time_point submitted) {
+  if (expired_in_queue(sock, deadline, "optimization")) return;
   try {
-    opt::OptimizerConfig cfg;
+    auto [cfg, strategy] = search_settings(spec, scenario, pool_.get());
     cfg.noise_budget = spec.noise_budget;
-    cfg.min_bits = spec.min_bits;
-    cfg.max_bits = spec.max_bits;
-    cfg.n_psd = spec.n_psd != 0 ? spec.n_psd : scenario.config.n_psd;
-    cfg.engine = spec.engine;
-    cfg.engine_opts = sfg::engine_options_for(scenario.config);
-    cfg.pool = pool_.get();
     // The deadline check doubles as the progress stream: it is polled
     // exactly once per accepted probe round, between rounds, so reading
     // probe_counters() here is race-free and one PROG frame goes out per
@@ -451,17 +359,11 @@ void Server::run_opt_job(
         // runs to completion (its result is cheap to discard).
         write_frame(sock, FrameType::kProgress, text);
       }
-      return deadline.has_value() &&
-             std::chrono::steady_clock::now() >= *deadline;
+      return expired(deadline);
     };
     opt::WordlengthOptimizer optimizer(
         scenario.graph, scenario.graph.noise_sources(), cfg);
     progress->optimizer = &optimizer;
-    // parse_envelope validated the token against the same vocabulary
-    // run_strategy dispatches on, so this cannot throw on the name.
-    opt::search::StrategySpec strategy;
-    strategy.name = spec.strategy;
-    strategy.anneal.seed = spec.seed;
     const opt::OptimizerResult result =
         opt::search::run_strategy(optimizer, strategy);
     record_probe_counters(optimizer.probe_counters());
@@ -476,26 +378,17 @@ void Server::run_opt_job(
     append_kv(kv, "steps", progress->steps);
     append_kv(kv, "bits", format_bits(result.bits));
     if (result.cancelled) {
-      {
-        std::lock_guard lock(stats_mutex_);
-        ++jobs_timeout_;
-      }
+      count(jobs_timeout_);
       record_latency(submitted);
       send_error(sock, error_code::kTimeout,
                  "deadline expired; best partial assignment attached", kv);
       return;
     }
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_completed_;
-    }
+    count(jobs_completed_);
     record_latency(submitted);
     write_frame(sock, FrameType::kResult, "status=OK\n" + kv);
   } catch (const std::exception& e) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_failed_;
-    }
+    count(jobs_failed_);
     send_error(sock, error_code::kInternal, e.what());
   }
 }
@@ -504,17 +397,9 @@ void Server::handle_sweep(const Socket& sock, const std::string& payload) {
   const auto submitted = std::chrono::steady_clock::now();
   JobEnvelope env;
   sfg::Scenario scenario;
-  if (!parse_job(sock, payload, env, scenario)) return;
-  if (scenario.graph.noise_sources().empty()) {
-    send_error(sock, error_code::kBadRequest,
-               "graph has no quantization noise sources to optimize");
+  if (!parse_job(sock, payload, env, scenario) ||
+      !searchable(sock, scenario, env.sweep.engine))
     return;
-  }
-  if (!core::engine_supports(env.sweep.engine, scenario.graph)) {
-    send_error(sock, error_code::kUnsupported,
-               "requested probe engine cannot evaluate this graph");
-    return;
-  }
   // Resolve the ladder up front: a bad ladder is the client's mistake
   // (BAD_REQUEST), not an execution failure.
   std::vector<double> budgets = env.sweep.budgets;
@@ -540,74 +425,28 @@ void Server::handle_sweep(const Socket& sock, const std::string& payload) {
   const ContentHash hash = sfg::content_hash_bytes(
       encode_sweep_section(env.sweep) +
       sfg::content_hash(scenario.graph, scenario.config).to_string());
-  if (auto cached = cache_.lookup(hash)) {
-    std::string response = "status=OK\n";
-    append_kv(response, "cache", "hit");
-    append_kv(response, "hash", hash.to_string());
-    response += *cached;
-    record_latency(submitted);
-    // A cache hit replays the terminal frame only — per-point PROG frames
-    // stream on computation, not on replay.
-    write_frame(sock, FrameType::kResult, response);
-    return;
-  }
-  const auto deadline = deadline_for(env.timeout);
-  std::promise<void> done;
-  auto finished = done.get_future();
-  const bool admitted = queue_->try_submit([&, this] {
-    try {
-      run_sweep_job(sock, scenario, env.sweep, budgets, hash, deadline,
-                    submitted);
-    } catch (...) {  // NOLINT(bugprone-empty-catch) — reported inside
-    }
-    done.set_value();
+  // A cache hit replays the terminal frame only — per-point PROG frames
+  // stream on computation, not on replay.
+  if (replay_cached(sock, hash, submitted)) return;
+  admit(sock, env.timeout, [&](const Deadline& deadline) {
+    run_sweep_job(sock, scenario, env.sweep, budgets, hash, deadline,
+                  submitted);
   });
-  if (!admitted) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_rejected_;
-    }
-    send_error(sock, error_code::kRejectedBusy,
-               "job queue is at capacity; resubmit later");
-    return;
-  }
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++jobs_accepted_;
-  }
-  finished.wait();
 }
 
-void Server::run_sweep_job(
-    const Socket& sock, sfg::Scenario& scenario, const SweepSpec& spec,
-    const std::vector<double>& budgets, const ContentHash& hash,
-    std::optional<std::chrono::steady_clock::time_point> deadline,
-    std::chrono::steady_clock::time_point submitted) {
-  if (deadline.has_value() &&
-      std::chrono::steady_clock::now() >= *deadline) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_timeout_;
-    }
-    send_error(sock, error_code::kTimeout,
-               "deadline expired before sweep started");
-    return;
-  }
+void Server::run_sweep_job(const Socket& sock, sfg::Scenario& scenario,
+                           const SweepSpec& spec,
+                           const std::vector<double>& budgets,
+                           const ContentHash& hash, const Deadline& deadline,
+                           std::chrono::steady_clock::time_point submitted) {
+  if (expired_in_queue(sock, deadline, "sweep")) return;
   try {
+    auto [base, strategy] = search_settings(spec, scenario, pool_.get());
     opt::search::SweepConfig cfg;
     cfg.budgets = budgets;
-    cfg.base.min_bits = spec.min_bits;
-    cfg.base.max_bits = spec.max_bits;
-    cfg.base.n_psd = spec.n_psd != 0 ? spec.n_psd : scenario.config.n_psd;
-    cfg.base.engine = spec.engine;
-    cfg.base.engine_opts = sfg::engine_options_for(scenario.config);
-    cfg.base.pool = pool_.get();
-    cfg.base.cancel_check = [deadline] {
-      return deadline.has_value() &&
-             std::chrono::steady_clock::now() >= *deadline;
-    };
-    cfg.strategy.name = spec.strategy;
-    cfg.strategy.anneal.seed = spec.seed;
+    cfg.base = std::move(base);
+    cfg.base.cancel_check = [deadline] { return expired(deadline); };
+    cfg.strategy = std::move(strategy);
     // Serial fan-out: points run in ladder order (one PROG each, in
     // order) and the server pool accelerates each point's probe rounds
     // instead — per-point results are bit-identical either way.
@@ -658,10 +497,7 @@ void Server::run_sweep_job(
       append_kv(kv, "front_" + std::to_string(i),
                 format_point(front.points()[i]));
     if (cancelled) {
-      {
-        std::lock_guard lock(stats_mutex_);
-        ++jobs_timeout_;
-      }
+      count(jobs_timeout_);
       record_latency(submitted);
       send_error(sock, error_code::kTimeout,
                  "deadline expired; completed points attached", kv);
@@ -670,23 +506,75 @@ void Server::run_sweep_job(
     // Cache the body bytes (completed sweeps only): a later hit replays
     // them verbatim, the same bit-identity contract as EVAL.
     cache_.insert(hash, kv);
-    std::string response = "status=OK\n";
-    append_kv(response, "cache", "miss");
-    append_kv(response, "hash", hash.to_string());
-    response += kv;
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_completed_;
-    }
+    count(jobs_completed_);
     record_latency(submitted);
-    write_frame(sock, FrameType::kResult, response);
+    write_frame(sock, FrameType::kResult, ok_response("miss", hash, kv));
   } catch (const std::exception& e) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++jobs_failed_;
-    }
+    count(jobs_failed_);
     send_error(sock, error_code::kInternal, e.what());
   }
+}
+
+bool Server::searchable(const Socket& sock, const sfg::Scenario& scenario,
+                        core::EngineKind engine) {
+  if (scenario.graph.noise_sources().empty()) {
+    send_error(sock, error_code::kBadRequest,
+               "graph has no quantization noise sources to optimize");
+    return false;
+  }
+  if (!core::engine_supports(engine, scenario.graph)) {
+    send_error(sock, error_code::kUnsupported,
+               "requested probe engine cannot evaluate this graph");
+    return false;
+  }
+  return true;
+}
+
+void Server::admit(const Socket& sock, std::chrono::milliseconds timeout,
+                   const std::function<void(const Deadline&)>& job) {
+  const Deadline deadline = deadline_for(timeout);
+  // The connection thread blocks on the job, so the executor may write to
+  // the socket and capture the caller's locals by reference without a race.
+  std::promise<void> done;
+  auto finished = done.get_future();
+  const bool admitted = queue_->try_submit([&] {
+    try {
+      job(deadline);
+    } catch (...) {  // NOLINT(bugprone-empty-catch) — reported inside
+    }
+    done.set_value();
+  });
+  if (!admitted) {
+    count(jobs_rejected_);
+    send_error(sock, error_code::kRejectedBusy,
+               "job queue is at capacity; resubmit later");
+    return;
+  }
+  count(jobs_accepted_);
+  finished.wait();
+}
+
+bool Server::expired_in_queue(const Socket& sock, const Deadline& deadline,
+                              std::string_view what) {
+  if (!expired(deadline)) return false;
+  count(jobs_timeout_);
+  send_error(sock, error_code::kTimeout,
+             "deadline expired before " + std::string(what) + " started");
+  return true;
+}
+
+bool Server::replay_cached(const Socket& sock, const ContentHash& hash,
+                           std::chrono::steady_clock::time_point submitted) {
+  const auto cached = cache_.lookup(hash);
+  if (!cached) return false;
+  record_latency(submitted);
+  write_frame(sock, FrameType::kResult, ok_response("hit", hash, *cached));
+  return true;
+}
+
+void Server::count(std::uint64_t& counter) {
+  std::lock_guard lock(stats_mutex_);
+  ++counter;
 }
 
 void Server::record_probe_counters(
@@ -706,8 +594,7 @@ bool Server::send_error(const Socket& sock, std::string_view code,
   return write_frame(sock, FrameType::kError, payload);
 }
 
-std::optional<std::chrono::steady_clock::time_point> Server::deadline_for(
-    std::chrono::milliseconds requested) const {
+Deadline Server::deadline_for(std::chrono::milliseconds requested) const {
   auto effective =
       requested.count() > 0 ? requested : cfg_.default_timeout;
   if (cfg_.max_timeout.count() > 0 &&

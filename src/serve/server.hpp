@@ -13,10 +13,11 @@
 ///     no parse-again, no engine, bit-identical response.
 ///  2. **JobQueue admission** — a bounded backlog; a full queue answers
 ///     REJECTED_BUSY immediately (load shedding, not latency hiding).
-///  3. **Execution** — engines exactly as sfg::evaluate_expected runs them
-///     (so responses match the golden corpus to the same bits), or a
-///     WordlengthOptimizer whose cancel_check enforces the job deadline
-///     and streams one PROG frame per accepted descent step.
+///  3. **Execution** — sim::evaluate_accuracy, the engine loop
+///     sfg::evaluate_expected projects (so responses match the golden
+///     corpus to the same bits), or a WordlengthOptimizer whose
+///     cancel_check enforces the job deadline and streams one PROG frame
+///     per accepted descent step.
 ///
 /// Per-job wall-clock timeouts are cooperative: checked before a job
 /// starts, between engines of an evaluation, and between optimizer probe
@@ -27,6 +28,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -44,6 +46,9 @@
 #include "sfg/serialize.hpp"
 
 namespace psdacc::serve {
+
+/// A job's wall-clock deadline; empty = unlimited.
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
 struct ServerConfig {
   /// Bind port on 127.0.0.1; 0 picks an ephemeral port (see
@@ -106,28 +111,40 @@ class Server {
   void handle_opt(const Socket& sock, const std::string& payload);
   void handle_sweep(const Socket& sock, const std::string& payload);
   void run_eval_job(const Socket& sock, const sfg::Scenario& scenario,
-                    const ContentHash& hash,
-                    std::optional<std::chrono::steady_clock::time_point>
-                        deadline,
+                    const ContentHash& hash, const Deadline& deadline,
                     std::chrono::steady_clock::time_point submitted);
   void run_opt_job(const Socket& sock, sfg::Scenario& scenario,
-                   const OptimizerSpec& spec,
-                   std::optional<std::chrono::steady_clock::time_point>
-                       deadline,
+                   const OptimizerSpec& spec, const Deadline& deadline,
                    std::chrono::steady_clock::time_point submitted);
   void run_sweep_job(const Socket& sock, sfg::Scenario& scenario,
                      const SweepSpec& spec,
                      const std::vector<double>& budgets,
-                     const ContentHash& hash,
-                     std::optional<std::chrono::steady_clock::time_point>
-                         deadline,
+                     const ContentHash& hash, const Deadline& deadline,
                      std::chrono::steady_clock::time_point submitted);
+  /// Refuses (false, after an ERRF reply) an OPTJ/PARJ scenario with no
+  /// noise source or one the probe @p engine cannot evaluate.
+  bool searchable(const Socket& sock, const sfg::Scenario& scenario,
+                  core::EngineKind engine);
+  /// Queue admission shared by every job type: resolves the deadline for
+  /// the requested @p timeout, submits @p job and blocks until it ran, or
+  /// answers REJECTED_BUSY when the queue is full.
+  void admit(const Socket& sock, std::chrono::milliseconds timeout,
+             const std::function<void(const Deadline&)>& job);
+  /// True after a TIMEOUT reply ("deadline expired before @p what
+  /// started") when the job spent its whole budget waiting in the queue.
+  bool expired_in_queue(const Socket& sock, const Deadline& deadline,
+                        std::string_view what);
+  /// Replays the cached body for @p hash as a `cache=hit` RSLT; false on a
+  /// miss.
+  bool replay_cached(const Socket& sock, const ContentHash& hash,
+                     std::chrono::steady_clock::time_point submitted);
+  /// Increments one lifetime counter under stats_mutex_.
+  void count(std::uint64_t& counter);
   /// Folds one job's optimizer probe counters into the lifetime totals.
   void record_probe_counters(const core::AccuracyEngine::EvalCounters& c);
   bool send_error(const Socket& sock, std::string_view code,
                   std::string_view message, std::string_view extra = {});
-  std::optional<std::chrono::steady_clock::time_point> deadline_for(
-      std::chrono::milliseconds requested) const;
+  Deadline deadline_for(std::chrono::milliseconds requested) const;
   void record_latency(std::chrono::steady_clock::time_point submitted);
   /// Joins finished connection threads; with @p all, joins every one.
   void reap_connections(bool all);

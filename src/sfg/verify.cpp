@@ -83,7 +83,7 @@ opt::OptimizerResult run_opt_expectation(const Scenario& s,
   cfg.max_bits = e.max_bits;
   cfg.n_psd = s.config.n_psd;
   cfg.engine = e.engine;
-  cfg.engine_opts = engine_options_for(s.config);
+  cfg.engine_opts = sim::engine_options_for(s.config);
   opt::WordlengthOptimizer optimizer(g, g.noise_sources(), cfg);
   opt::search::StrategySpec spec;
   spec.name = e.strategy;
@@ -93,26 +93,12 @@ opt::OptimizerResult run_opt_expectation(const Scenario& s,
 
 }  // namespace
 
-core::EngineOptions engine_options_for(const sim::EvaluationConfig& cfg) {
-  core::EngineOptions opts;
-  opts.n_psd = cfg.n_psd;
-  opts.sim_samples = cfg.sim_samples;
-  opts.sim_shards = cfg.shards;
-  opts.sim_discard = cfg.discard;
-  opts.sim_seed = cfg.seed;
-  opts.sim_amplitude = cfg.input_amplitude;
-  return opts;
-}
-
 std::vector<std::pair<core::EngineKind, double>> evaluate_expected(
     const Scenario& s) {
   std::vector<std::pair<core::EngineKind, double>> out;
-  const auto opts = engine_options_for(s.config);
-  for (const core::EngineKind kind : s.config.engines) {
-    if (!core::engine_supports(kind, s.graph)) continue;
-    const auto engine = core::make_engine(kind, s.graph, opts);
-    out.emplace_back(kind, engine->output_noise_power());
-  }
+  for (const sim::EngineEstimate& e :
+       sim::evaluate_accuracy(s.graph, s.config).estimates)
+    out.emplace_back(e.kind, e.power);
   return out;
 }
 
@@ -145,8 +131,12 @@ std::vector<VerifyIssue> verify_scenario_text(std::string_view text,
                         "source, no cycles)"});
     return issues;
   }
+  if (std::string why = core::unstable_block(s.graph); !why.empty()) {
+    issues.push_back({"invalid", std::move(why)});
+    return issues;
+  }
 
-  const auto engine_opts = engine_options_for(s.config);
+  const auto engine_opts = sim::engine_options_for(s.config);
   double flat_power = 0.0, psd_power = 0.0;
   double flat_golden = 0.0, psd_golden = 0.0;
   bool have_flat = false, have_psd = false;

@@ -25,7 +25,7 @@
 namespace psdacc::sfg {
 
 /// One failed check. `check` is a stable machine-readable tag
-/// ("parse", "canonical", "golden:psd", "delta:moment",
+/// ("parse", "canonical", "invalid", "golden:psd", "delta:moment",
 /// "differential:flat", "cross:flat-vs-psd", ...); `detail` is for
 /// humans. Tags with the "band:" prefix are advisory one-bit-band
 /// observations (statistical claims, not per-graph contracts); callers
@@ -47,19 +47,23 @@ struct VerifyOptions {
   bool cross_engine = true;
 };
 
-/// Builds the EngineOptions an evaluation of @p cfg uses (spectral
-/// resolution + the Monte-Carlo plan; single-threaded).
-core::EngineOptions engine_options_for(const sim::EvaluationConfig& cfg);
+/// Kept under this name for callers that predate sim::engine_options_for.
+using sim::engine_options_for;
 
 /// Full golden-corpus verification of one serialized document: parse,
 /// canonical byte-identity, every `expect` engine against its golden value,
-/// delta-vs-full parity, cross-engine agreement. Empty result == pass.
+/// delta-vs-full parity, cross-engine agreement. A graph no engine can
+/// evaluate (an unstable block) gets one "invalid" issue instead of the
+/// engine checks. Empty result == pass.
 std::vector<VerifyIssue> verify_scenario_text(std::string_view text,
                                               const VerifyOptions& opts = {});
 
-/// Recomputes the golden expectations for a scenario: runs every engine in
-/// `config.engines` that supports the graph and returns (kind, power)
-/// pairs — the `expect` section a corpus file should carry.
+/// Recomputes the golden expectations for a scenario: the (kind, power)
+/// pairs of sim::evaluate_accuracy over `config.engines` (engines that do
+/// not support the graph are skipped) — the `expect` section a corpus file
+/// should carry.
+/// @throws std::invalid_argument when a block is unstable
+///         (core::unstable_block)
 std::vector<std::pair<core::EngineKind, double>> evaluate_expected(
     const Scenario& s);
 

@@ -123,9 +123,7 @@ const EngineEstimate& AccuracyReport::at(core::EngineKind kind) const {
   return *e;
 }
 
-AccuracyReport evaluate_accuracy(const sfg::Graph& g,
-                                 const EvaluationConfig& cfg,
-                                 runtime::ThreadPool* pool) {
+core::EngineOptions engine_options_for(const EvaluationConfig& cfg) {
   core::EngineOptions opts;
   opts.n_psd = cfg.n_psd;
   opts.sim_samples = cfg.sim_samples;
@@ -133,12 +131,24 @@ AccuracyReport evaluate_accuracy(const sfg::Graph& g,
   opts.sim_discard = cfg.discard;
   opts.sim_seed = cfg.seed;
   opts.sim_amplitude = cfg.input_amplitude;
+  return opts;
+}
+
+AccuracyReport evaluate_accuracy(const sfg::Graph& g,
+                                 const EvaluationConfig& cfg,
+                                 runtime::ThreadPool* pool,
+                                 const std::function<bool()>& stop) {
+  core::EngineOptions opts = engine_options_for(cfg);
   opts.pool = pool;
 
   AccuracyReport report;
   report.estimates.reserve(cfg.engines.size());
   for (const core::EngineKind kind : cfg.engines) {
     if (!core::engine_supports(kind, g)) continue;  // e.g. flat, multirate
+    if (stop && stop()) {
+      report.cancelled = true;
+      break;
+    }
     EngineEstimate est;
     est.kind = kind;
     est.name = core::to_string(kind);

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,9 @@ struct AccuracyReport {
   /// simulation engine was not part of the run.
   double reference_power = 0.0;
   std::vector<EngineEstimate> estimates;
+  /// The stop predicate ended the run early; `estimates` holds the engines
+  /// that completed before it fired.
+  bool cancelled = false;
 
   /// First estimate of @p kind, or nullptr when that engine did not run
   /// (not requested, or skipped as unsupported on this graph).
@@ -111,11 +115,20 @@ struct EvaluationConfig {
                                         core::kAllEngineKinds.end()};
 };
 
+/// The EngineOptions an evaluation of @p cfg runs with: the spectral
+/// resolution and the Monte-Carlo plan, no pool.
+core::EngineOptions engine_options_for(const EvaluationConfig& cfg);
+
 /// Runs every requested engine on a SISO graph and scores each against the
 /// simulated reference (when kSimulation is among them). When @p pool is
 /// given, Monte-Carlo shards (cfg.shards > 1) run concurrently on it.
+/// @p stop, when given, is polled before each supported engine; once it
+/// returns true the run ends with `cancelled` set and the engines completed
+/// so far in `estimates`. This is the one loop over `cfg.engines`: golden
+/// regeneration and served evaluations go through it too.
 AccuracyReport evaluate_accuracy(const sfg::Graph& g,
                                  const EvaluationConfig& cfg,
-                                 runtime::ThreadPool* pool = nullptr);
+                                 runtime::ThreadPool* pool = nullptr,
+                                 const std::function<bool()>& stop = {});
 
 }  // namespace psdacc::sim

@@ -186,6 +186,27 @@ TEST(AccuracyEngine, FlatRefusesMultirateGraphWithClearError) {
   }
 }
 
+TEST(AccuracyEngineFactory, RefusesUnstableBlock) {
+  // A pure integrator 1 / (1 - z^-1) has its pole on the unit circle: no
+  // finite power response, so every kind refuses it with the same reason
+  // the serve daemon's INVALID reply carries.
+  sfg::Graph g;
+  const auto in = g.add_input();
+  const auto q = g.add_quantizer(in, fxp::q_format(4, 12));
+  g.add_output(g.add_block(q, filt::TransferFunction({1.0}, {1.0, -1.0})));
+  const std::string why = core::unstable_block(g);
+  EXPECT_NE(why.find("block node 2"), std::string::npos) << why;
+  EXPECT_TRUE(core::unstable_block(make_chain()).empty());
+  for (const EngineKind kind : core::kAllEngineKinds) {
+    try {
+      core::make_engine(kind, g, test_options());
+      ADD_FAILURE() << core::to_string(kind) << " built an engine";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), why) << core::to_string(kind);
+    }
+  }
+}
+
 TEST(AccuracyEngine, MatchesUnderlyingAnalyzersBitwise) {
   const auto g = make_chain();
   const auto opts = test_options();
@@ -383,6 +404,48 @@ TEST(AccuracyReport, EngineSubsetWithoutSimulationHasNoReference) {
   EXPECT_EQ(report.reference_power, 0.0);
   for (const auto& est : report.estimates)
     EXPECT_TRUE(std::isnan(est.ed)) << est.name;
+}
+
+TEST(AccuracyReport, StopPredicateEndsTheRunAfterTheFirstEngine) {
+  const auto g = make_chain();
+  sim::EvaluationConfig cfg;
+  cfg.n_psd = 128;
+  cfg.engines = {EngineKind::kPsd, EngineKind::kMoment, EngineKind::kFlat};
+  int polls = 0;
+  const auto report = sim::evaluate_accuracy(
+      g, cfg, nullptr, [&polls] { return polls++ > 0; });
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_EQ(polls, 2);  // once before each engine it reached
+  ASSERT_EQ(report.estimates.size(), 1u);
+  EXPECT_EQ(report.estimates[0].kind, EngineKind::kPsd);
+  EXPECT_GT(report.estimates[0].power, 0.0);
+}
+
+TEST(AccuracyReport, NeverFiringStopPredicateIsBitIdentical) {
+  const auto g = make_multirate();  // flat is skipped, never polled
+  sim::EvaluationConfig cfg;
+  cfg.sim_samples = 1u << 13;
+  cfg.discard = 128;
+  cfg.n_psd = 128;
+  int polls = 0;
+  const auto plain = sim::evaluate_accuracy(g, cfg);
+  const auto polled = sim::evaluate_accuracy(g, cfg, nullptr, [&polls] {
+    ++polls;
+    return false;
+  });
+  EXPECT_EQ(polls, 3);
+  EXPECT_FALSE(plain.cancelled);
+  EXPECT_FALSE(polled.cancelled);
+  EXPECT_EQ(polled.reference_power, plain.reference_power);
+  ASSERT_EQ(polled.estimates.size(), plain.estimates.size());
+  for (std::size_t i = 0; i < plain.estimates.size(); ++i) {
+    const auto& a = plain.estimates[i];
+    const auto& b = polled.estimates[i];
+    EXPECT_EQ(b.kind, a.kind);
+    EXPECT_EQ(b.name, a.name);
+    EXPECT_EQ(b.power, a.power) << a.name;  // bitwise: no tolerance
+    EXPECT_EQ(b.ed, a.ed) << a.name;
+  }
 }
 
 TEST(AccuracyReport, FlatVsPsdReconvergenceGapIsVisible) {

@@ -1,5 +1,5 @@
-// Convolution tests: direct vs FFT agreement, overlap-save streaming
-// equivalence with one-shot convolution, history handling across blocks.
+// Direct convolution tests: the reference oracle other suites compare
+// their block implementations against.
 #include <gtest/gtest.h>
 
 #include "dsp/convolution.hpp"
@@ -38,86 +38,6 @@ TEST(DirectConvolution, Commutes) {
   ASSERT_EQ(ab.size(), ba.size());
   for (std::size_t i = 0; i < ab.size(); ++i)
     EXPECT_NEAR(ab[i], ba[i], 1e-12);
-}
-
-class ConvolutionEquivalence
-    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {
-};
-
-TEST_P(ConvolutionEquivalence, FftMatchesDirect) {
-  const auto [nx, nh] = GetParam();
-  Xoshiro256 rng(nx * 31 + nh);
-  const auto x = psdacc::gaussian_signal(nx, rng);
-  const auto h = psdacc::gaussian_signal(nh, rng);
-  const auto direct = psdacc::dsp::convolve_direct(x, h);
-  const auto fast = psdacc::dsp::convolve_fft(x, h);
-  ASSERT_EQ(direct.size(), fast.size());
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    EXPECT_NEAR(direct[i], fast[i], 1e-9) << "index " << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, ConvolutionEquivalence,
-    ::testing::Values(std::pair<std::size_t, std::size_t>{1, 1},
-                      std::pair<std::size_t, std::size_t>{8, 3},
-                      std::pair<std::size_t, std::size_t>{100, 16},
-                      std::pair<std::size_t, std::size_t>{16, 100},
-                      std::pair<std::size_t, std::size_t>{255, 9},
-                      std::pair<std::size_t, std::size_t>{1000, 63}));
-
-TEST(OverlapSave, BlockSizeArithmetic) {
-  const std::vector<double> h(9, 0.1);
-  psdacc::dsp::OverlapSave os(h, 32);
-  EXPECT_EQ(os.fft_size(), 32u);
-  EXPECT_EQ(os.block_size(), 32u - 9u + 1u);
-}
-
-TEST(OverlapSave, MatchesDirectConvolutionOverManyBlocks) {
-  Xoshiro256 rng(77);
-  const auto h = psdacc::gaussian_signal(9, rng);
-  const auto x = psdacc::gaussian_signal(240, rng);
-  psdacc::dsp::OverlapSave os(h, 32);
-  const auto streamed = os.filter(x);
-  const auto reference = psdacc::dsp::convolve_direct(x, h);
-  ASSERT_EQ(streamed.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(streamed[i], reference[i], 1e-9) << "index " << i;
-}
-
-TEST(OverlapSave, SignalShorterThanOneBlock) {
-  Xoshiro256 rng(78);
-  const auto h = psdacc::gaussian_signal(5, rng);
-  const auto x = psdacc::gaussian_signal(7, rng);
-  psdacc::dsp::OverlapSave os(h, 16);
-  const auto streamed = os.filter(x);
-  const auto reference = psdacc::dsp::convolve_direct(x, h);
-  ASSERT_EQ(streamed.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(streamed[i], reference[i], 1e-9);
-}
-
-TEST(OverlapSave, ResetClearsHistory) {
-  Xoshiro256 rng(79);
-  const auto h = psdacc::gaussian_signal(9, rng);
-  const auto x = psdacc::gaussian_signal(48, rng);
-  psdacc::dsp::OverlapSave os(h, 32);
-  const auto first = os.filter(x);
-  os.reset();
-  const auto second = os.filter(x);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_DOUBLE_EQ(first[i], second[i]);
-}
-
-TEST(OverlapSave, SingleTapFilterIsGain) {
-  const std::vector<double> h{2.5};
-  psdacc::dsp::OverlapSave os(h, 8);
-  EXPECT_EQ(os.block_size(), 8u);
-  Xoshiro256 rng(80);
-  const auto x = psdacc::gaussian_signal(24, rng);
-  const auto y = os.filter(x);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(y[i], 2.5 * x[i], 1e-12);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include "fixedpoint/format.hpp"
 #include "fixedpoint/noise_model.hpp"
-#include "fixedpoint/noise_model_psd.hpp"
 #include "fixedpoint/quantizer.hpp"
 #include "support/random.hpp"
 #include "support/statistics.hpp"
@@ -231,16 +230,6 @@ TEST(NarrowingMoments, NoBitsDroppedMeansNoNoise) {
   const auto m = narrowing_quantization_noise(8, fmt);
   EXPECT_DOUBLE_EQ(m.mean, 0.0);
   EXPECT_DOUBLE_EQ(m.variance, 0.0);
-}
-
-TEST(WhiteNoisePsd, SumsToTotalPower) {
-  NoiseMoments m{0.01, 2.5e-5};
-  const auto psd = white_noise_psd(m, 64);
-  ASSERT_EQ(psd.size(), 64u);
-  EXPECT_DOUBLE_EQ(psd[0], m.mean * m.mean);
-  double non_dc = 0.0;
-  for (std::size_t k = 1; k < psd.size(); ++k) non_dc += psd[k];
-  EXPECT_NEAR(non_dc, m.variance, 1e-15);
 }
 
 TEST(NoiseMoments, PowerIsMeanSquarePlusVariance) {

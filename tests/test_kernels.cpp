@@ -276,34 +276,6 @@ TEST(Kernels, ComplexMulSplitMatchesScalar) {
   }
 }
 
-TEST(Kernels, ComplexMulInterleavedMatchesScalar) {
-  for (const std::size_t n : kLengths) {
-    const auto x0 = csignal(n, n + 71);
-    const auto y = csignal(n, n + 72);
-    auto got = x0;
-    auto want = x0;
-    kernels::complex_mul(std::span<cplx>(got), y);
-    kernels::scalar::complex_mul(std::span<cplx>(want), y);
-    expect_bits_eq(got, want, "complex_mul interleaved");
-  }
-}
-
-TEST(Kernels, ComplexMulAddMatchesScalar) {
-  for (const std::size_t n : kLengths) {
-    const auto xr = signal(n, n + 81);
-    const auto xi = signal(n, n + 82);
-    const auto yr = signal(n, n + 83);
-    const auto yi = signal(n, n + 84);
-    const auto or0 = signal(n, n + 85);
-    const auto oi0 = signal(n, n + 86);
-    auto gor = or0, goi = oi0, wor = or0, woi = oi0;
-    kernels::complex_mul_add(gor, goi, xr, xi, yr, yi);
-    kernels::scalar::complex_mul_add(wor, woi, xr, xi, yr, yi);
-    expect_bits_eq(gor, wor, "complex_mul_add re");
-    expect_bits_eq(goi, woi, "complex_mul_add im");
-  }
-}
-
 TEST(Kernels, SplitMergeRoundTripsBitExactly) {
   for (const std::size_t n : kLengths) {
     const auto x = csignal(n, n + 91);

@@ -29,7 +29,7 @@
 #include "opt/search/pareto.hpp"
 #include "opt/search/strategies.hpp"
 #include "sfg/serialize.hpp"
-#include "sfg/verify.hpp"
+#include "sim/error_measurement.hpp"
 
 namespace {
 
@@ -170,7 +170,7 @@ opt::OptimizerConfig base_config(const Options& o,
   cfg.max_bits = o.max_bits;
   cfg.n_psd = scenario.config.n_psd;
   cfg.engine = o.engine;
-  cfg.engine_opts = sfg::engine_options_for(scenario.config);
+  cfg.engine_opts = sim::engine_options_for(scenario.config);
   cfg.workers = o.workers;
   return cfg;
 }

@@ -295,18 +295,20 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[i++];
   const std::vector<std::string> args(argv + i, argv + argc);
 
+  // Checked before connecting, so --help and typos need no daemon.
+  if (cmd != "eval" && cmd != "opt" && cmd != "sweep" &&
+      !(cmd == "stats" && args.empty()))
+    return usage();
+
   try {
     serve::Client client(port);
     if (cmd == "eval") return cmd_eval(client, args);
     if (cmd == "opt") return cmd_opt(client, args);
     if (cmd == "sweep") return cmd_sweep(client, args);
-    if (cmd == "stats" && args.empty()) {
-      std::fputs(client.stats_text().c_str(), stdout);
-      return 0;
-    }
+    std::fputs(client.stats_text().c_str(), stdout);
+    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "psdacc-submit: %s\n", e.what());
     return 1;
   }
-  return usage();
 }
